@@ -6,7 +6,7 @@
 //   1. Repeated row profiles at a fixed length on a 2^17-point series:
 //      the seed's uncached algorithm (three full-size complex transforms)
 //      vs the current uncached free function vs the cached MassEngine
-//      single-query path vs the pair-packed batched path vs the
+//      single-query path vs the pair-packed
 //      overlap-save batched path. A frozen copy of the PR 1 implementation
 //      (scalar std::complex radix-2 butterflies, single query per
 //      transform) is kept here as the previous-PR baseline — the same role
@@ -14,18 +14,21 @@
 //      PR-over-PR gains even though the library paths share the current
 //      (restructured, fused radix-2^2) butterfly kernels.
 //   2. A backend sweep at 2^15 / 2^17 / 2^19 points: cached single-query
-//      vs pair-packed vs overlap-save rows, single-threaded so the
-//      speedups isolate the algorithm, plus the backend the cost model
-//      actually picks at each size.
+//      vs overlap-save rows, single-threaded so the speedups isolate the
+//      algorithm, plus the backend the cost model actually picks at each
+//      size.
 //
-//   2b. A boundary sweep over the (series_n, length) grid where the retired
-//      v1 weight-18 boundary and the calibrated v2 cost model disagree:
-//      per-row measured seconds for direct / pair-packed / overlap-save,
-//      the model's predicted costs (so the static weights in
-//      mass::BackendCostModel stay auditable against real timings), the
-//      backend each policy picks, and the realized v2-over-v1 speedup.
-//      These are the `boundary_sweep` rows of BENCH_engine.json that
-//      mass/backend.h and the cost-model tests refer to.
+//   2b. A boundary sweep over the (series_n, length) grid around the
+//      direct / overlap-save crossover: per-row measured seconds for both
+//      batched backends, the model's predicted costs (so the static weights
+//      in mass::BackendCostModel stay auditable against real timings), and
+//      the backend kAuto picks. These are the `boundary_sweep` rows of
+//      BENCH_engine.json that mass/backend.h and the cost-model tests refer
+//      to.
+//
+//   2c. Batched kAuto rows where the query is a sizable fraction of the
+//      series, so the overlap-save chunk clamps to the full transform and
+//      the whole series is one chunk (the `single_chunk` rows).
 //   3. ParallelFor dispatch: spawn-per-call std::thread (the seed's
 //      implementation) vs the persistent pool, plus the pool's
 //      threads-created counter across the timed regions — the observable
@@ -285,31 +288,43 @@ double Checksum(const std::vector<double>& values) {
   return acc;
 }
 
-/// One backend-sweep configuration: single-threaded row-profile timings for
-/// the cached single-query, pair-packed, and overlap-save paths at one
-/// series size.
-struct SweepResult {
-  std::size_t series_n = 0;
-  std::size_t repetitions = 0;
-  double single_seconds = 0.0;
-  double pair_seconds = 0.0;
-  double overlap_save_seconds = 0.0;
-  const char* auto_backend = "";
-};
+/// `repetitions` evenly spaced rows of an ecg series (even counts pair up
+/// in the overlap-save batches).
+std::vector<std::size_t> SpacedRows(const DataSeries& series,
+                                    std::size_t length,
+                                    std::size_t repetitions) {
+  const std::size_t stride = series.NumSubsequences(length) / repetitions;
+  std::vector<std::size_t> rows(repetitions);
+  for (std::size_t r = 0; r < repetitions; ++r) rows[r] = r * stride;
+  return rows;
+}
 
-SweepResult RunBackendSweep(std::size_t n, std::size_t length,
-                            std::size_t repetitions, double* checksum) {
+DataSeries EcgSeries(std::size_t n) {
   auto series_result = valmod::synth::ByName("ecg", n, 11);
   if (!series_result.ok()) {
     std::fprintf(stderr, "series generation failed: %s\n",
                  series_result.status().ToString().c_str());
     std::exit(1);
   }
-  const DataSeries& series = *series_result;
+  return std::move(series_result).value();
+}
+
+/// One backend-sweep configuration: single-threaded row-profile timings for
+/// the cached single-query and overlap-save paths at one series size.
+struct SweepResult {
+  std::size_t series_n = 0;
+  std::size_t repetitions = 0;
+  double single_seconds = 0.0;
+  double overlap_save_seconds = 0.0;
+  const char* auto_backend = "";
+};
+
+SweepResult RunBackendSweep(std::size_t n, std::size_t length,
+                            std::size_t repetitions, double* checksum) {
+  const DataSeries series = EcgSeries(n);
   const std::size_t count = series.NumSubsequences(length);
-  const std::size_t stride = count / repetitions;
-  std::vector<std::size_t> rows(repetitions);
-  for (std::size_t r = 0; r < repetitions; ++r) rows[r] = r * stride;
+  const std::vector<std::size_t> rows =
+      SpacedRows(series, length, repetitions);
 
   using valmod::mass::ConvolutionBackend;
   valmod::mass::MassEngine engine(series);
@@ -323,10 +338,8 @@ SweepResult RunBackendSweep(std::size_t n, std::size_t length,
   // Untimed warmup per backend: plans, the cached series spectra, and the
   // overlap-save chunk spectra are one-time costs amortized over thousands
   // of rows in real runs, so every path gets the same warm treatment.
-  const std::vector<std::size_t> warm_rows = {0, stride};
+  const std::vector<std::size_t> warm_rows = {rows[0], rows[1]};
   (void)engine.ComputeRowProfile(0, length, ConvolutionBackend::kFftSingle);
-  (void)engine.ComputeRowProfiles(warm_rows, length, 1,
-                                  ConvolutionBackend::kFftPair);
   (void)engine.ComputeRowProfiles(warm_rows, length, 1,
                                   ConvolutionBackend::kOverlapSave);
 
@@ -342,12 +355,6 @@ SweepResult RunBackendSweep(std::size_t n, std::size_t length,
   // checksums per iteration), so the reported ratios compare backend
   // against backend, not backend against backend-plus-checksum.
   timer.Restart();
-  auto pair = engine.ComputeRowProfiles(rows, length, /*num_threads=*/1,
-                                        ConvolutionBackend::kFftPair);
-  for (const auto& row : *pair) *checksum += Checksum(row.distances);
-  result.pair_seconds = timer.ElapsedSeconds();
-
-  timer.Restart();
   auto ols = engine.ComputeRowProfiles(rows, length, /*num_threads=*/1,
                                        ConvolutionBackend::kOverlapSave);
   for (const auto& row : *ols) *checksum += Checksum(row.distances);
@@ -356,18 +363,15 @@ SweepResult RunBackendSweep(std::size_t n, std::size_t length,
 }
 
 /// One boundary-sweep configuration: batched single-threaded per-row
-/// timings for each backend family, the per-policy choices, and the
-/// realized v2-over-v1 speedup.
+/// timings for both batched backends and the backend kAuto picks.
 struct BoundaryResult {
   std::size_t series_n = 0;
   std::size_t length = 0;
   std::size_t repetitions = 0;
   double direct_seconds = 0.0;        // per row
-  double fft_pair_seconds = 0.0;      // per row
   double overlap_save_seconds = 0.0;  // per row
-  valmod::mass::ConvolutionBackend v1 = valmod::mass::ConvolutionBackend::kAuto;
-  valmod::mass::ConvolutionBackend v2 = valmod::mass::ConvolutionBackend::kAuto;
-  double speedup_v2_vs_v1 = 1.0;
+  valmod::mass::ConvolutionBackend chosen =
+      valmod::mass::ConvolutionBackend::kAuto;
 };
 
 double TimePerRow(valmod::mass::MassEngine& engine,
@@ -392,18 +396,11 @@ double TimePerRow(valmod::mass::MassEngine& engine,
 BoundaryResult RunBoundaryPoint(std::size_t n, std::size_t length,
                                 double* checksum) {
   using valmod::mass::ConvolutionBackend;
-  auto series_result = valmod::synth::ByName("ecg", n, 11);
-  if (!series_result.ok()) {
-    std::fprintf(stderr, "series generation failed: %s\n",
-                 series_result.status().ToString().c_str());
-    std::exit(1);
-  }
-  const DataSeries& series = *series_result;
+  const DataSeries series = EcgSeries(n);
   const std::size_t count = series.NumSubsequences(length);
-  const std::size_t repetitions = 16;  // even: pair paths pack 2 per FFT
-  const std::size_t stride = count / repetitions;
-  std::vector<std::size_t> rows(repetitions);
-  for (std::size_t r = 0; r < repetitions; ++r) rows[r] = r * stride;
+  const std::size_t repetitions = 16;
+  const std::vector<std::size_t> rows =
+      SpacedRows(series, length, repetitions);
 
   valmod::mass::MassEngine engine(series);
   BoundaryResult result;
@@ -412,25 +409,38 @@ BoundaryResult RunBoundaryPoint(std::size_t n, std::size_t length,
   result.repetitions = repetitions;
   result.direct_seconds =
       TimePerRow(engine, rows, length, ConvolutionBackend::kDirect, checksum);
-  result.fft_pair_seconds =
-      TimePerRow(engine, rows, length, ConvolutionBackend::kFftPair, checksum);
   result.overlap_save_seconds = TimePerRow(
       engine, rows, length, ConvolutionBackend::kOverlapSave, checksum);
+  result.chosen = valmod::mass::ChooseConvolutionBackend(n, length, count,
+                                                         /*batched=*/true);
+  return result;
+}
 
-  result.v1 = valmod::mass::ChooseConvolutionBackendV1(n, length, count);
-  result.v2 = valmod::mass::ChooseConvolutionBackend(n, length, count,
-                                                     /*batched=*/true);
-  const auto measured = [&](ConvolutionBackend b) {
-    switch (b) {
-      case ConvolutionBackend::kDirect:
-        return result.direct_seconds;
-      case ConvolutionBackend::kOverlapSave:
-        return result.overlap_save_seconds;
-      default:  // both full-FFT members run pair-packed in a batch
-        return result.fft_pair_seconds;
-    }
-  };
-  result.speedup_v2_vs_v1 = measured(result.v1) / measured(result.v2);
+/// One single-chunk configuration: batched kAuto per-row seconds where the
+/// overlap-save chunk covers the whole series.
+struct SingleChunkResult {
+  std::size_t series_n = 0;
+  std::size_t length = 0;
+  std::size_t repetitions = 0;
+  double auto_seconds = 0.0;  // per row
+  valmod::mass::ConvolutionBackend chosen =
+      valmod::mass::ConvolutionBackend::kAuto;
+};
+
+SingleChunkResult RunSingleChunkPoint(std::size_t n, std::size_t length,
+                                      double* checksum) {
+  const DataSeries series = EcgSeries(n);
+  const std::size_t repetitions = 16;
+  valmod::mass::MassEngine engine(series);
+  SingleChunkResult result;
+  result.series_n = n;
+  result.length = length;
+  result.repetitions = repetitions;
+  result.auto_seconds =
+      TimePerRow(engine, SpacedRows(series, length, repetitions), length,
+                 valmod::mass::ConvolutionBackend::kAuto, checksum);
+  result.chosen = valmod::mass::ChooseConvolutionBackend(
+      n, length, series.NumSubsequences(length), /*batched=*/true);
   return result;
 }
 
@@ -451,25 +461,14 @@ struct SimdSweepResult {
 /// sound and keeps the comparison about the kernels.
 std::vector<SimdSweepResult> RunSimdTargetSweep(double* checksum) {
   using valmod::mass::ConvolutionBackend;
-  auto series_result = valmod::synth::ByName("ecg", std::size_t{1} << 16, 11);
-  if (!series_result.ok()) {
-    std::fprintf(stderr, "series generation failed: %s\n",
-                 series_result.status().ToString().c_str());
-    std::exit(1);
-  }
-  const DataSeries& series = *series_result;
+  const DataSeries series = EcgSeries(std::size_t{1} << 16);
   const std::size_t ols_length = 512;   // FFT-dominated configuration
   const std::size_t direct_length = 128;  // dot-product-dominated
-  const std::size_t repetitions = 8;    // even: pair paths pack 2 per FFT
-  const auto make_rows = [&](std::size_t length) {
-    const std::size_t count = series.NumSubsequences(length);
-    const std::size_t stride = count / repetitions;
-    std::vector<std::size_t> rows(repetitions);
-    for (std::size_t r = 0; r < repetitions; ++r) rows[r] = r * stride;
-    return rows;
-  };
-  const std::vector<std::size_t> ols_rows = make_rows(ols_length);
-  const std::vector<std::size_t> direct_rows = make_rows(direct_length);
+  const std::size_t repetitions = 8;    // even: overlap-save packs 2 rows
+  const std::vector<std::size_t> ols_rows =
+      SpacedRows(series, ols_length, repetitions);
+  const std::vector<std::size_t> direct_rows =
+      SpacedRows(series, direct_length, repetitions);
 
   valmod::mass::MassEngine engine(series);
   (void)engine.ComputeRowProfiles({ols_rows.data(), 2}, ols_length, 1,
@@ -528,7 +527,7 @@ void AppendFormat(std::string* out, const char* format, ...) {
 int main(int argc, char** argv) {
   const std::size_t n = std::size_t{1} << 17;
   const std::size_t length = 1024;  // past the cost-model crossover: FFT path
-  const std::size_t repetitions = 20;  // even: the pair path packs 2 per FFT
+  const std::size_t repetitions = 20;  // even: overlap-save packs 2 rows
 
   auto series_result = valmod::synth::ByName("ecg", n, 11);
   if (!series_result.ok()) {
@@ -584,19 +583,13 @@ int main(int argc, char** argv) {
   }
   const double cached_seconds = timer.ElapsedSeconds();
 
-  // The batched pair-packed and overlap-save paths, single-threaded so the
-  // speedups isolate the algorithmic change rather than core count. The
-  // backends are forced: at this size the cost model itself picks
-  // overlap-save, and the JSON should keep tracking both.
+  // The batched overlap-save path, single-threaded so the speedups isolate
+  // the algorithmic change rather than core count. The backend is forced
+  // (at this size the cost model picks it too) so the row keeps tracking
+  // the same kernel if the model moves.
   using valmod::mass::ConvolutionBackend;
   (void)engine.ComputeRowProfiles({rows.data(), 2}, length, 1,
                                   ConvolutionBackend::kOverlapSave);  // warm
-  timer.Restart();
-  auto batched = engine.ComputeRowProfiles(rows, length, /*num_threads=*/1,
-                                           ConvolutionBackend::kFftPair);
-  for (const auto& row : *batched) checksum += Checksum(row.distances);
-  const double pair_batched_seconds = timer.ElapsedSeconds();
-
   timer.Restart();
   auto overlap_batched = engine.ComputeRowProfiles(
       rows, length, /*num_threads=*/1, ConvolutionBackend::kOverlapSave);
@@ -615,10 +608,10 @@ int main(int argc, char** argv) {
   sweep.push_back(
       RunBackendSweep(std::size_t{1} << 19, length, 8, &checksum));
 
-  // Boundary sweep: the (series_n, length) grid where the v1 weight-18
-  // boundary kept rows on direct dots. Every row reports the measured
-  // per-backend timings next to the cost model's predictions so the static
-  // weights stay auditable.
+  // Boundary sweep: the (series_n, length) grid around the direct /
+  // overlap-save crossover. Every row reports the measured per-backend
+  // timings next to the cost model's predictions so the static weights
+  // stay auditable.
   std::vector<BoundaryResult> boundary;
   for (std::size_t bn : {std::size_t{1} << 12, std::size_t{1} << 13,
                          std::size_t{1} << 14}) {
@@ -628,12 +621,12 @@ int main(int argc, char** argv) {
       boundary.push_back(RunBoundaryPoint(bn, bl, &checksum));
     }
   }
-  double speedup_boundary_8192_128 = 0.0;
-  for (const BoundaryResult& b : boundary) {
-    if (b.series_n == 8192 && b.length == 128) {
-      speedup_boundary_8192_128 = b.speedup_v2_vs_v1;
-    }
-  }
+
+  // Single-chunk rows: queries so long that the clamped overlap-save chunk
+  // holds the whole series.
+  std::vector<SingleChunkResult> single_chunk;
+  single_chunk.push_back(RunSingleChunkPoint(2048, 1024, &checksum));
+  single_chunk.push_back(RunSingleChunkPoint(3000, 700, &checksum));
 
   // SIMD target sweep: the same engine hot paths under every dispatch
   // target this build+machine supports, so the JSON records the measured
@@ -678,15 +671,13 @@ int main(int argc, char** argv) {
     AppendFormat(
         &sweep_json,
         "%s{\"series_n\":%zu,\"repetitions\":%zu,"
-        "\"cached_single_seconds\":%.6f,\"pair_batched_seconds\":%.6f,"
+        "\"cached_single_seconds\":%.6f,"
         "\"overlap_save_batched_seconds\":%.6f,"
-        "\"speedup_overlap_save_vs_pair\":%.3f,"
         "\"speedup_overlap_save_vs_single\":%.3f,"
         "\"auto_backend\":\"%s\"}",
         s == 0 ? "" : ",", r.series_n, r.repetitions, r.single_seconds,
-        r.pair_seconds, r.overlap_save_seconds,
-        r.pair_seconds / r.overlap_save_seconds,
-        r.single_seconds / r.overlap_save_seconds, r.auto_backend);
+        r.overlap_save_seconds, r.single_seconds / r.overlap_save_seconds,
+        r.auto_backend);
   }
 
   const valmod::mass::BackendCostModel model =
@@ -699,21 +690,24 @@ int main(int argc, char** argv) {
         &boundary_json,
         "%s{\"series_n\":%zu,\"length\":%zu,\"repetitions\":%zu,"
         "\"direct_seconds_per_row\":%.3e,"
-        "\"fft_pair_seconds_per_row\":%.3e,"
         "\"overlap_save_seconds_per_row\":%.3e,"
-        "\"predicted_direct\":%.4g,\"predicted_fft_pair\":%.4g,"
-        "\"predicted_overlap_save\":%.4g,"
-        "\"v1_backend\":\"%s\",\"v2_backend\":\"%s\","
-        "\"speedup_v2_vs_v1\":%.3f}",
+        "\"predicted_direct\":%.4g,\"predicted_overlap_save\":%.4g,"
+        "\"auto_backend\":\"%s\"}",
         b == 0 ? "" : ",", r.series_n, r.length, r.repetitions,
-        r.direct_seconds, r.fft_pair_seconds, r.overlap_save_seconds,
+        r.direct_seconds, r.overlap_save_seconds,
         valmod::mass::DirectSlidingDotsCost(model, r.length, count),
-        valmod::mass::FftSlidingDotsCost(model, r.series_n, r.length,
-                                         /*pair=*/true),
-        valmod::mass::OverlapSaveSlidingDotsCost(model, r.length, count,
-                                                 /*pair=*/true),
-        valmod::mass::ConvolutionBackendName(r.v1),
-        valmod::mass::ConvolutionBackendName(r.v2), r.speedup_v2_vs_v1);
+        valmod::mass::OverlapSaveSlidingDotsCost(model, r.series_n, r.length,
+                                                 count, /*pair=*/true),
+        valmod::mass::ConvolutionBackendName(r.chosen));
+  }
+  std::string single_chunk_json;
+  for (std::size_t c = 0; c < single_chunk.size(); ++c) {
+    const SingleChunkResult& r = single_chunk[c];
+    AppendFormat(&single_chunk_json,
+                 "%s{\"series_n\":%zu,\"length\":%zu,\"repetitions\":%zu,"
+                 "\"auto_seconds_per_row\":%.3e,\"auto_backend\":\"%s\"}",
+                 c == 0 ? "" : ",", r.series_n, r.length, r.repetitions,
+                 r.auto_seconds, valmod::mass::ConvolutionBackendName(r.chosen));
   }
 
   std::string json;
@@ -723,23 +717,16 @@ int main(int argc, char** argv) {
       "\"repetitions\":%zu,"
       "\"seed_uncached_seconds\":%.6f,\"uncached_seconds\":%.6f,"
       "\"pr1_single_seconds\":%.6f,\"cached_seconds\":%.6f,"
-      "\"pair_batched_seconds\":%.6f,"
       "\"overlap_save_batched_seconds\":%.6f,"
       "\"speedup_cached_vs_seed_uncached\":%.3f,"
       "\"speedup_cached_vs_uncached\":%.3f,"
-      "\"speedup_pair_batched_vs_pr1_single\":%.3f,"
-      "\"speedup_pair_batched_vs_cached_single\":%.3f,"
-      "\"speedup_overlap_save_vs_pair\":%.3f,"
+      "\"speedup_overlap_save_batched_vs_pr1_single\":%.3f,"
       "\"sweep\":[%s],",
       valmod::bench::RunMetadataJsonFragment().c_str(),
       n, length, repetitions, seed_seconds, uncached_seconds,
-      pr1_single_seconds, cached_seconds, pair_batched_seconds,
-      overlap_save_batched_seconds,
+      pr1_single_seconds, cached_seconds, overlap_save_batched_seconds,
       seed_seconds / cached_seconds, uncached_seconds / cached_seconds,
-      pr1_single_seconds / pair_batched_seconds,
-      cached_seconds / pair_batched_seconds,
-      pair_batched_seconds / overlap_save_batched_seconds,
-      sweep_json.c_str());
+      pr1_single_seconds / overlap_save_batched_seconds, sweep_json.c_str());
   std::string simd_json;
   for (std::size_t s = 0; s < simd_sweep.size(); ++s) {
     const SimdSweepResult& r = simd_sweep[s];
@@ -766,13 +753,12 @@ int main(int argc, char** argv) {
       &json,
       "\"results_version\":%d,"
       "\"cost_model\":{\"source\":\"static\",\"direct\":%.3f,"
-      "\"fft_single\":%.3f,\"fft_pair\":%.3f,\"overlap_save\":%.3f,"
+      "\"fft_single\":%.3f,\"overlap_save\":%.3f,"
       "\"overlap_save_chunk\":%.3f},"
-      "\"boundary_sweep\":[%s],"
-      "\"speedup_v2_vs_v1_boundary_8192_128\":%.3f,",
+      "\"boundary_sweep\":[%s],\"single_chunk\":[%s],",
       valmod::mass::kResultsVersion, model.direct, model.fft_single,
-      model.fft_pair, model.overlap_save, model.overlap_save_chunk,
-      boundary_json.c_str(), speedup_boundary_8192_128);
+      model.overlap_save, model.overlap_save_chunk, boundary_json.c_str(),
+      single_chunk_json.c_str());
   AppendFormat(
       &json,
       "\"parallel_for\":{\"rounds\":%zu,\"range\":%zu,\"threads\":%d,"

@@ -116,12 +116,6 @@ Status ValmodRunner::Validate() const {
       options_.exclusion_fraction > 1.0) {
     return Status::InvalidArgument("exclusion_fraction must be in [0, 1]");
   }
-  if (!mass::IsValidResultsVersion(options_.results_version)) {
-    return Status::InvalidArgument(
-        "results_version must be " +
-        std::to_string(mass::kLegacyResultsVersion) + " or " +
-        std::to_string(mass::kResultsVersion));
-  }
   return Status::Ok();
 }
 
@@ -340,15 +334,10 @@ Status ValmodRunner::RecomputeRows(std::span<const std::size_t> rows,
                                    std::size_t exclusion) {
   // One batched engine call: adjacent rows share a pair-packed (or
   // overlap-save) transform, the pairing depending only on the row order —
-  // never on the thread count, which only controls how pairs fan out. The
-  // results_version selects the kAuto policy: the calibrated cost model by
-  // default, the frozen v1 boundary for bit-compat runs.
-  VALMOD_ASSIGN_OR_RETURN(
-      std::vector<mass::RowProfile> profiles,
-      engine_.ComputeRowProfiles(
-          rows, length, options_.num_threads,
-          mass::EffectiveBackend(mass::ConvolutionBackend::kAuto,
-                                 options_.results_version)));
+  // never on the thread count, which only controls how pairs fan out.
+  VALMOD_ASSIGN_OR_RETURN(std::vector<mass::RowProfile> profiles,
+                          engine_.ComputeRowProfiles(rows, length,
+                                                     options_.num_threads));
   // Applying a profile touches only its own row's partial-profile slice and
   // state, so the application sweep partitions cleanly too.
   ParallelFor(0, rows.size(), options_.num_threads, [&](std::size_t b) {

@@ -234,23 +234,6 @@ void FftPlan::RealForwardPair(std::span<const double> a,
   ForwardBitrev(spectrum);
 }
 
-void FftPlan::MultiplyPairByRealSpectrum(
-    std::span<const std::complex<double>> real_spectrum,
-    std::span<std::complex<double>> pair_spectrum) const {
-  assert(real_spectrum.size() == n_);
-  assert(pair_spectrum.size() == n_);
-
-  // Both spectra carry the same bit-reversal, so the product is a pure
-  // elementwise sweep; conjugate symmetry never needs to be spelled out.
-  // std::complex<double> has array-compatible layout, so the dispatched
-  // kernel works on the interleaved doubles directly.
-  simd::ActiveKernels().complex_multiply(
-      reinterpret_cast<const double*>(pair_spectrum.data()),
-      reinterpret_cast<const double*>(real_spectrum.data()),
-      reinterpret_cast<double*>(pair_spectrum.data()), n_);
-  simd::NoteKernelCalls(simd::KernelKind::kComplexMultiply, 1);
-}
-
 void FftPlan::MultiplyPairByRealSpectrumInto(
     std::span<const std::complex<double>> real_spectrum,
     std::span<const std::complex<double>> pair_spectrum,
@@ -259,24 +242,13 @@ void FftPlan::MultiplyPairByRealSpectrumInto(
   assert(pair_spectrum.size() == n_);
   assert(product.size() == n_);
 
+  // std::complex<double> has array-compatible layout, so the dispatched
+  // kernel works on the interleaved doubles directly.
   simd::ActiveKernels().complex_multiply(
       reinterpret_cast<const double*>(pair_spectrum.data()),
       reinterpret_cast<const double*>(real_spectrum.data()),
       reinterpret_cast<double*>(product.data()), n_);
   simd::NoteKernelCalls(simd::KernelKind::kComplexMultiply, 1);
-}
-
-void FftPlan::RealInversePair(std::span<std::complex<double>> spectrum,
-                              std::span<double> a, std::span<double> b) const {
-  assert(spectrum.size() == n_);
-  assert(a.size() == n_);
-  assert(b.size() == n_);
-
-  InverseBitrev(spectrum);
-  for (std::size_t i = 0; i < n_; ++i) {
-    a[i] = spectrum[i].real();
-    b[i] = spectrum[i].imag();
-  }
 }
 
 namespace {

@@ -82,41 +82,28 @@ class FftPlan {
   /// `size()`. The packed spectrum never needs to be split (and its bin
   /// order never needs to be undone): any linear pointwise operation — in
   /// particular multiplying by the spectrum of a shared real signal, see
-  /// MultiplyPairByRealSpectrum — commutes with the packing and is
-  /// permutation-invariant, and RealInversePair separates the two real
-  /// results for free.
+  /// MultiplyPairByRealSpectrumInto — commutes with the packing and is
+  /// permutation-invariant, and one InverseBitrev separates the two real
+  /// results for free: `a` lands in the real parts, `b` in the imaginary
+  /// parts.
   void RealForwardPair(std::span<const double> a, std::span<const double> b,
                        std::span<std::complex<double>> spectrum) const;
 
   /// Multiplies a pair-packed spectrum pointwise by the spectrum of a real
   /// signal in the same (bit-reversed, full `size()` bins) layout —
-  /// obtained from RealForwardPair with an empty second signal. Because the
-  /// multiplier is the spectrum of a *real* signal, the product is still
-  /// the packed spectrum of `(conv_a) + i*(conv_b)`; because both operands
-  /// share one permutation, the product is a straight elementwise sweep
-  /// with no conjugate-mirror index arithmetic.
-  void MultiplyPairByRealSpectrum(
-      std::span<const std::complex<double>> real_spectrum,
-      std::span<std::complex<double>> pair_spectrum) const;
-
-  /// Non-destructive form of MultiplyPairByRealSpectrum: writes the
-  /// elementwise product into `product`, leaving `pair_spectrum` untouched.
-  /// The overlap-save convolution path multiplies one filter spectrum
-  /// against many cached chunk spectra in turn, so the filter transform must
-  /// survive every product. All three spans must have `size()` bins in the
-  /// shared bit-reversed layout.
+  /// obtained from RealForwardPair with an empty second signal — writing
+  /// the product into `product` and leaving `pair_spectrum` untouched.
+  /// Because the multiplier is the spectrum of a *real* signal, the product
+  /// is still the packed spectrum of `(conv_a) + i*(conv_b)`; because both
+  /// operands share one permutation, the product is a straight elementwise
+  /// sweep with no conjugate-mirror index arithmetic. The overlap-save
+  /// convolution path multiplies one filter spectrum against many cached
+  /// chunk spectra in turn, which is why the filter must survive every
+  /// product. All three spans must have `size()` bins.
   void MultiplyPairByRealSpectrumInto(
       std::span<const std::complex<double>> real_spectrum,
       std::span<const std::complex<double>> pair_spectrum,
       std::span<std::complex<double>> product) const;
-
-  /// Inverse of RealForwardPair, including the 1/n scaling: one
-  /// InverseBitrev recovers both real sequences (`a[i]` from the real
-  /// parts, `b[i]` from the imaginary parts). Requires
-  /// `spectrum.size() == size()` and `a.size() == b.size() == size()`.
-  /// `spectrum` is consumed as scratch, so the transform allocates nothing.
-  void RealInversePair(std::span<std::complex<double>> spectrum,
-                       std::span<double> a, std::span<double> b) const;
 
  private:
   void TransformImpl(std::span<std::complex<double>> data,

@@ -60,18 +60,21 @@ const char* ConvolutionBackendName(ConvolutionBackend backend) {
   switch (backend) {
     case ConvolutionBackend::kAuto:
       return "auto";
-    case ConvolutionBackend::kAutoV1:
-      return "auto_v1";
     case ConvolutionBackend::kDirect:
       return "direct";
     case ConvolutionBackend::kFftSingle:
       return "fft_single";
-    case ConvolutionBackend::kFftPair:
-      return "fft_pair";
     case ConvolutionBackend::kOverlapSave:
       return "overlap_save";
   }
   return "unknown";
+}
+
+std::size_t OverlapSaveChunkSize(std::size_t series_size,
+                                 std::size_t length) {
+  return std::min(
+      fft::OverlapSaveFftSize(length),
+      std::max<std::size_t>(64, fft::NextPowerOfTwo(series_size + length - 1)));
 }
 
 double DirectSlidingDotsCost(const BackendCostModel& model, std::size_t length,
@@ -81,21 +84,20 @@ double DirectSlidingDotsCost(const BackendCostModel& model, std::size_t length,
 }
 
 double FftSlidingDotsCost(const BackendCostModel& model,
-                          std::size_t series_size, std::size_t length,
-                          bool pair) {
-  const std::size_t fft_size =
-      fft::NextPowerOfTwo(series_size + length - 1);
-  const double weight = pair ? model.fft_pair : model.fft_single;
-  return weight * ButterflyUnits(fft_size);
+                          std::size_t series_size, std::size_t length) {
+  return model.fft_single *
+         ButterflyUnits(fft::NextPowerOfTwo(series_size + length - 1));
 }
 
 double OverlapSaveSlidingDotsCost(const BackendCostModel& model,
-                                  std::size_t length, std::size_t count,
-                                  bool pair) {
-  const std::size_t chunk_size = fft::OverlapSaveFftSize(length);
+                                  std::size_t series_size, std::size_t length,
+                                  std::size_t count, bool pair) {
+  const std::size_t chunk_size = OverlapSaveChunkSize(series_size, length);
   const std::size_t hop = chunk_size / 2;
   const double chunks =
-      static_cast<double>((count + hop - 1) / std::max<std::size_t>(1, hop));
+      series_size <= chunk_size
+          ? 1.0
+          : static_cast<double>((count + hop - 1) / hop);
   // One filter transform plus one inverse per chunk, plus the O(C) product
   // and unload sweep per chunk. The chunk spectra themselves are cached per
   // (series, chunk size) in MassEngine and reused by every row at that
@@ -144,29 +146,21 @@ ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
                                             std::size_t length,
                                             std::size_t count, bool batched,
                                             const BackendCostModel& model) {
-  const std::size_t full_size =
-      fft::NextPowerOfTwo(series_size + length - 1);
-  const std::size_t chunk_size = fft::OverlapSaveFftSize(length);
-
   const double direct_cost = DirectSlidingDotsCost(model, length, count);
+  // The batched entry point runs rows either one by one on direct dots or
+  // pair-packed through overlap-save, so only single rows price the
+  // full-size single-query transform.
   const double fft_cost =
-      FftSlidingDotsCost(model, series_size, length, batched);
-  // When the chunk is not smaller than the full transform, chunking
-  // degenerates to one full-size block plus overhead; the full-size path
-  // strictly dominates, so overlap-save leaves the auction.
+      batched ? std::numeric_limits<double>::infinity()
+              : FftSlidingDotsCost(model, series_size, length);
   const double ols_cost =
-      chunk_size < full_size
-          ? OverlapSaveSlidingDotsCost(model, length, count, batched)
-          : std::numeric_limits<double>::infinity();
+      OverlapSaveSlidingDotsCost(model, series_size, length, count, batched);
 
   if (direct_cost <= fft_cost && direct_cost <= ols_cost) {
     return ConvolutionBackend::kDirect;
   }
-  if (ols_cost < fft_cost) {
-    return ConvolutionBackend::kOverlapSave;
-  }
-  return batched ? ConvolutionBackend::kFftPair
-                 : ConvolutionBackend::kFftSingle;
+  if (fft_cost <= ols_cost) return ConvolutionBackend::kFftSingle;
+  return ConvolutionBackend::kOverlapSave;
 }
 
 ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
@@ -174,28 +168,6 @@ ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
                                             std::size_t count, bool batched) {
   return ChooseConvolutionBackend(series_size, length, count, batched,
                                   ActiveBackendCostModel());
-}
-
-ConvolutionBackend ChooseConvolutionBackendV1(std::size_t series_size,
-                                              std::size_t length,
-                                              std::size_t count) {
-  // The PR 3 policy, frozen: every configuration the weight-18 boundary
-  // sent down the direct path stays there (and stays bit-identical to it),
-  // and the FFT family prefers overlap-save whenever the chunking is
-  // non-degenerate. Kept verbatim so results_version = 1 reproduces the v1
-  // goldens byte-for-byte; the default policy lives in the calibrated
-  // chooser above, with its measurements in the boundary_sweep rows of
-  // BENCH_engine.json.
-  if (!PreferFftSlidingDots(series_size, length, count)) {
-    return ConvolutionBackend::kDirect;
-  }
-  const std::size_t full_size =
-      fft::NextPowerOfTwo(series_size + length - 1);
-  const std::size_t chunk_size = fft::OverlapSaveFftSize(length);
-  if (chunk_size >= full_size) {
-    return ConvolutionBackend::kFftSingle;
-  }
-  return ConvolutionBackend::kOverlapSave;
 }
 
 namespace {
@@ -260,16 +232,6 @@ BackendCostModel CalibrateBackendCostModel() {
     full_plan->RealInverse(bins, conv);
   });
 
-  // Full-size pair row: two rows per forward + product + inverse.
-  std::vector<std::complex<double>> series_pair_bins(full_size);
-  full_plan->RealForwardPair(series, {}, series_pair_bins);
-  std::vector<std::complex<double>> pair_bins(full_size);
-  const double fft_pair_seconds = TimeSeconds(8, [&] {
-    full_plan->RealForwardPair(reversed, reversed, pair_bins);
-    full_plan->MultiplyPairByRealSpectrum(series_pair_bins, pair_bins);
-    full_plan->InverseBitrev(pair_bins);
-  }) / 2.0;
-
   // Overlap-save pipeline at two chunk counts: t(K) is linear in K with an
   // intercept, t(K) = a * units * (1 + K) + b * C * K, so two measurements
   // separate the transform weight `a` from the per-chunk sweep weight `b`.
@@ -323,7 +285,6 @@ BackendCostModel CalibrateBackendCostModel() {
   BackendCostModel model;
   model.direct = 1.0;
   model.fft_single = fft_single_seconds / units_full / sec_per_fma;
-  model.fft_pair = fft_pair_seconds / units_full / sec_per_fma;
   model.overlap_save = a / sec_per_fma;
   model.overlap_save_chunk = b / sec_per_fma;
   SetBackendCostModel(model);

@@ -8,33 +8,17 @@
 
 namespace valmod::mass {
 
-/// Version of the numerical results the library produces under automatic
-/// backend selection. Backends are numerically equivalent to ~1e-9 relative
-/// but not bit-identical, so *which* backend the cost model picks determines
-/// the exact ulps of every downstream motif distance. Whenever the
-/// selection policy changes, this constant is bumped and the golden outputs
-/// under tests/goldens/ are regenerated for the new version; the previous
-/// policy stays reachable so old goldens remain reproducible bit-for-bit.
-///
-///  - v1 (kLegacyResultsVersion): the PR 3 policy — the direct-vs-FFT
-///    boundary is the fixed weight-18 `PreferFftSlidingDots` test, and the
-///    FFT family prefers overlap-save whenever its chunk is smaller than
-///    the full transform. Reachable via `ConvolutionBackend::kAutoV1` (or
-///    `results_version = 1` on the option structs that thread it through).
-///  - v2 (kResultsVersion, the default): the calibrated backend-aware cost
-///    model below — every backend is priced by the work its kernel actually
-///    does, so e.g. 2^13 points / length 128 now runs overlap-save (≥1.3x
-///    measured) where the v1 boundary kept it on direct dots.
+/// Version stamp of the numerical results the library produces under
+/// automatic backend selection. Backends are numerically equivalent to
+/// ~1e-9 relative but not bit-identical, so *which* backend the cost model
+/// picks determines the exact ulps of every downstream motif distance.
+/// There is exactly one selection policy (ChooseConvolutionBackend below).
+/// Whenever it — or the numerics of a backend — changes, this constant is
+/// bumped and the golden outputs under tests/goldens/ are regenerated; the
+/// output of an earlier version is reproduced by building that revision
+/// from git history. Every motif, valmap and query response carries this
+/// stamp.
 inline constexpr int kResultsVersion = 2;
-inline constexpr int kLegacyResultsVersion = 1;
-
-/// True for the versions a `results_version` option may carry. Every
-/// intake point (ValmodOptions, ProfileOptions, QuerySearchOptions, the
-/// CLI flag) validates with this so an unknown version fails loudly
-/// instead of silently running the current policy under a wrong label.
-inline constexpr bool IsValidResultsVersion(int version) {
-  return version == kResultsVersion || version == kLegacyResultsVersion;
-}
 
 /// How a MASS engine turns queries into sliding dot products. The backends
 /// are numerically equivalent (every one computes the same dot products to
@@ -46,44 +30,33 @@ enum class ConvolutionBackend {
   /// Cost-model selection (see ChooseConvolutionBackend). The default
   /// everywhere; forcing a specific backend exists for tests and benches.
   kAuto,
-  /// The v1 (PR 3) automatic selection, kept so `results_version = 1` runs
-  /// reproduce historical outputs bit-for-bit: the weight-18 direct-vs-FFT
-  /// boundary, then overlap-save whenever its chunk is below the full
-  /// transform size. See kLegacyResultsVersion.
-  kAutoV1,
   /// O(count * length) direct multiply-adds. Wins for short windows.
   kDirect,
   /// One full-size real FFT per query against the cached padded-series
   /// spectrum (the half-spectrum path). Bit-identical to the historical
   /// always-FFT engine path.
   kFftSingle,
-  /// Full-size pair-packed FFT: two queries ride the real/imaginary lanes
-  /// of one complex transform, so a pair of rows costs one forward + one
-  /// inverse. Batched calls pack rows pairwise; a forced single-row call
-  /// runs the pair machinery with an empty second lane.
-  kFftPair,
   /// Overlap-save: chunked FFTs of ~4x the query length against per-chunk
   /// series spectra cached in the engine. Cuts the per-row flop count from
   /// O(n log n) to O(n log m) and keeps the transform working set cache
-  /// resident; batched calls pair-pack the chunk pipeline too.
+  /// resident; batched calls pair-pack the chunk pipeline (two rows ride
+  /// the real/imaginary lanes of one transform). When the whole series fits
+  /// in one chunk (see OverlapSaveChunkSize) the pipeline is a single
+  /// chunk-size pair-packed circular convolution.
   kOverlapSave,
 };
 
 /// Human-readable backend name for logs / bench JSON.
 const char* ConvolutionBackendName(ConvolutionBackend backend);
 
-/// The backend to hand a MassEngine for (`backend`, `results_version`): a
-/// forced backend wins outright; otherwise kAuto under the default
-/// version, or kAutoV1 under the legacy one. Callers must have validated
-/// `results_version` (IsValidResultsVersion) first.
-inline ConvolutionBackend EffectiveBackend(ConvolutionBackend backend,
-                                           int results_version) {
-  if (backend == ConvolutionBackend::kAuto &&
-      results_version == kLegacyResultsVersion) {
-    return ConvolutionBackend::kAutoV1;
-  }
-  return backend;
-}
+/// The overlap-save chunk FFT size for `length`-point queries against a
+/// `series_size`-point series: fft::OverlapSaveFftSize(length), clamped to
+/// the padded full transform (at least 64 points) so a query that is a
+/// sizable fraction of the series never transforms a chunk larger than the
+/// whole convolution. Whenever `series_size <= chunk` the engine reads every
+/// output from chunk 0, whose alias-free span `chunk - length + 1` covers
+/// all `series_size - length + 1` windows.
+std::size_t OverlapSaveChunkSize(std::size_t series_size, std::size_t length);
 
 /// Per-backend cost weights, in units of one direct multiply-add (so
 /// `direct` is 1.0 by construction). A backend's predicted per-row cost is
@@ -100,13 +73,8 @@ struct BackendCostModel {
   /// size) of a single-query row: one real forward + product + real inverse.
   /// Butterfly weights land well above 1 because the direct path is a dense
   /// auto-vectorized FMA loop while a butterfly pass is strided and
-  /// latency-bound — the weight-18 v1 constant overpriced this gap, which
-  /// is exactly why it kept short-window configurations off the (faster)
-  /// overlap-save path.
+  /// latency-bound.
   double fft_single = 5.5;
-  /// Per-row cost per butterfly unit of the pair-packed full-size path (two
-  /// rows share one forward + product + inverse).
-  double fft_pair = 4.0;
   /// Cost per butterfly unit (`C * log2(C)`, C the overlap-save chunk size)
   /// per chunk-size transform of the overlap-save pipeline.
   double overlap_save = 4.0;
@@ -125,21 +93,21 @@ struct BackendCostModel {
   simd::Target simd_target = simd::Target::kScalar;
 };
 
-/// Predicted cost of one row of sliding dot products, per backend family.
+/// Predicted cost of one row of sliding dot products, per backend.
 /// `count = series_size - length + 1` rows of `length`-point dots. The
-/// `pair` flavors price a row inside a pair-packed batch (two rows per
-/// transform); the overlap-save formula amortizes the filter transform and
-/// the per-chunk inverse over `hop = C/2` outputs per chunk and assumes the
-/// chunk spectra themselves are cached by the engine (they are built once
-/// per (series, chunk size) and reused by every row).
+/// overlap-save formula runs on the OverlapSaveChunkSize chunk, amortizes
+/// the filter transform and the per-chunk inverse over `hop = C/2` outputs
+/// per chunk (one chunk in total when the series fits in it), and assumes
+/// the chunk spectra themselves are cached by the engine (they are built
+/// once per (series, chunk size) and reused by every row); `pair` prices a
+/// row inside a pair-packed batch (two rows per pipeline pass).
 double DirectSlidingDotsCost(const BackendCostModel& model, std::size_t length,
                              std::size_t count);
 double FftSlidingDotsCost(const BackendCostModel& model,
-                          std::size_t series_size, std::size_t length,
-                          bool pair);
+                          std::size_t series_size, std::size_t length);
 double OverlapSaveSlidingDotsCost(const BackendCostModel& model,
-                                  std::size_t length, std::size_t count,
-                                  bool pair);
+                                  std::size_t series_size, std::size_t length,
+                                  std::size_t count, bool pair);
 
 /// The process-wide model used by `ChooseConvolutionBackend`. Defaults to
 /// the (deterministic) static fit above; `SetBackendCostModel` installs a
@@ -158,7 +126,7 @@ void SetBackendCostModel(const BackendCostModel& model);
 std::uint64_t BackendCostModelGeneration();
 
 /// One-shot runtime calibration (~100 ms): microbenchmarks the direct,
-/// full-size FFT, and overlap-save kernels on this machine, fits the
+/// full-size single-query FFT, and overlap-save kernels on this machine, fits the
 /// per-backend weights, installs the fitted model as the active one, and
 /// returns it. Calibration changes only which backend `kAuto` *chooses* —
 /// never the numerics a given backend produces — so it is safe for
@@ -173,12 +141,10 @@ std::uint64_t CalibrationRefitCount();
 
 /// Resolves kAuto for one row profile: picks the backend with the smallest
 /// predicted cost under `model` (or the active model). With `batched` set
-/// the FFT family is priced pair-packed — two rows per transform, as the
-/// batched entry point executes it — and a full-FFT winner is reported as
-/// kFftPair; otherwise the single-row flavors compete and the full-FFT
-/// winner is kFftSingle. Overlap-save is excluded when its chunk would not
-/// be smaller than the full transform (chunking degenerates to one
-/// full-size block plus overhead). Never returns kAuto/kAutoV1.
+/// the candidates are direct and pair-packed overlap-save — the two ways the
+/// batched entry point executes rows; otherwise direct, the full-size
+/// single-query FFT and single-lane overlap-save compete. Ties go to the
+/// simpler kernel. Never returns kAuto.
 ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
                                             std::size_t length,
                                             std::size_t count,
@@ -188,16 +154,6 @@ ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
                                             std::size_t length,
                                             std::size_t count,
                                             bool batched = false);
-
-/// The v1 (PR 3) selection, verbatim: direct iff the weight-18
-/// `PreferFftSlidingDots` boundary says so, else overlap-save when its
-/// chunk is below the full transform size, else the full-size single-query
-/// path. `ConvolutionBackend::kAutoV1` resolves through this, which is what
-/// keeps `results_version = 1` runs bit-identical to PR 3 output (see the
-/// v1 goldens under tests/goldens/).
-ConvolutionBackend ChooseConvolutionBackendV1(std::size_t series_size,
-                                              std::size_t length,
-                                              std::size_t count);
 
 }  // namespace valmod::mass
 

@@ -18,18 +18,24 @@ namespace {
 struct EngineCounterStorage {
   std::atomic<std::uint64_t> series_spectra_hits{0};
   std::atomic<std::uint64_t> series_spectra_misses{0};
-  std::atomic<std::uint64_t> pair_spectra_builds{0};
   std::atomic<std::uint64_t> chunk_spectra_hits{0};
   std::atomic<std::uint64_t> chunk_spectra_misses{0};
   std::atomic<std::uint64_t> chunk_spectra_evictions{0};
   std::atomic<std::uint64_t> chunk_spectra_adopted{0};
   std::atomic<std::uint64_t> rows_direct{0};
   std::atomic<std::uint64_t> rows_fft_single{0};
-  std::atomic<std::uint64_t> rows_fft_pair{0};
   std::atomic<std::uint64_t> rows_overlap_save{0};
 };
 
 EngineCounterStorage g_engine_counters;
+
+/// Chunks cached for an `n`-point series at one chunk size: one when the
+/// series fits in a single chunk (its alias-free span then covers every
+/// window, see OverlapSaveChunkSize), else one per `hop` points.
+std::size_t NumChunks(std::size_t n, std::size_t chunk_size,
+                      std::size_t hop) {
+  return n <= chunk_size ? 1 : (n + hop - 1) / hop;
+}
 
 void Bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
   counter.fetch_add(by, std::memory_order_relaxed);
@@ -43,8 +49,6 @@ EngineCounters EngineCountersSnapshot() {
   out.series_spectra_hits = c.series_spectra_hits.load(std::memory_order_relaxed);
   out.series_spectra_misses =
       c.series_spectra_misses.load(std::memory_order_relaxed);
-  out.pair_spectra_builds =
-      c.pair_spectra_builds.load(std::memory_order_relaxed);
   out.chunk_spectra_hits = c.chunk_spectra_hits.load(std::memory_order_relaxed);
   out.chunk_spectra_misses =
       c.chunk_spectra_misses.load(std::memory_order_relaxed);
@@ -54,7 +58,6 @@ EngineCounters EngineCountersSnapshot() {
       c.chunk_spectra_adopted.load(std::memory_order_relaxed);
   out.rows_direct = c.rows_direct.load(std::memory_order_relaxed);
   out.rows_fft_single = c.rows_fft_single.load(std::memory_order_relaxed);
-  out.rows_fft_pair = c.rows_fft_pair.load(std::memory_order_relaxed);
   out.rows_overlap_save = c.rows_overlap_save.load(std::memory_order_relaxed);
   return out;
 }
@@ -68,14 +71,10 @@ void NoteEngineRows(ConvolutionBackend backend, std::uint64_t rows) {
     case ConvolutionBackend::kFftSingle:
       Bump(g_engine_counters.rows_fft_single, rows);
       return;
-    case ConvolutionBackend::kFftPair:
-      Bump(g_engine_counters.rows_fft_pair, rows);
-      return;
     case ConvolutionBackend::kOverlapSave:
       Bump(g_engine_counters.rows_overlap_save, rows);
       return;
     case ConvolutionBackend::kAuto:
-    case ConvolutionBackend::kAutoV1:
       // Callers count after resolution; an unresolved backend here is a
       // programming error, but telemetry must never crash the engine.
       return;
@@ -101,23 +100,6 @@ const MassEngine::SeriesSpectrum& MassEngine::SpectrumFor(
   return *it->second;
 }
 
-const MassEngine::SeriesSpectrum& MassEngine::PairSpectrumFor(
-    std::size_t fft_size) {
-  SpectrumFor(fft_size);
-  std::lock_guard<std::mutex> lock(mutex_);
-  SeriesSpectrum& spectrum = *spectra_.find(fft_size)->second;
-  if (spectrum.pair_bins.empty()) {
-    Bump(g_engine_counters.pair_spectra_builds);
-    spectrum.pair_bins.resize(fft_size);
-    // The full-size bit-reversed spectrum: RealForwardPair with an empty
-    // second lane is exactly "spectrum of one real signal" in the pair
-    // pipeline's layout.
-    spectrum.plan->RealForwardPair(series_.centered(), {},
-                                   spectrum.pair_bins);
-  }
-  return spectrum;
-}
-
 std::shared_ptr<const MassEngine::ChunkSpectra> MassEngine::ChunkSpectraFor(
     std::size_t chunk_fft_size) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -132,8 +114,9 @@ std::shared_ptr<const MassEngine::ChunkSpectra> MassEngine::ChunkSpectraFor(
     // Chunks start every `hop` points and read `chunk_fft_size` points
     // (zero-padded past the series end), so chunk c serves dot products at
     // offsets [c * hop, (c + 1) * hop) for any query length with
-    // length - 1 <= hop — guaranteed by OverlapSaveFftSize >= 4 * length.
-    const std::size_t num_chunks = (n + spectra->hop - 1) / spectra->hop;
+    // length - 1 <= hop — guaranteed by OverlapSaveFftSize >= 4 * length
+    // whenever the series needs more than one chunk.
+    const std::size_t num_chunks = NumChunks(n, chunk_fft_size, spectra->hop);
     spectra->chunks.resize(num_chunks);
     for (std::size_t c = 0; c < num_chunks; ++c) {
       const std::size_t begin = c * spectra->hop;
@@ -210,7 +193,7 @@ std::size_t MassEngine::AdoptChunkSpectraFrom(MassEngine& previous,
     auto spectra = std::make_shared<ChunkSpectra>();
     spectra->plan = source->plan;
     spectra->hop = hop;
-    const std::size_t num_chunks = (n + hop - 1) / hop;
+    const std::size_t num_chunks = NumChunks(n, chunk_fft_size, hop);
     spectra->chunks.resize(num_chunks);
     for (std::size_t c = 0; c < num_chunks; ++c) {
       const std::size_t begin = c * hop;
@@ -245,7 +228,6 @@ std::size_t MassEngine::CacheMemoryBytes() {
   std::size_t bytes = 0;
   for (const auto& entry : spectra_) {
     bytes += entry.second->bins.capacity() * kComplexBytes;
-    bytes += entry.second->pair_bins.capacity() * kComplexBytes;
   }
   for (const auto& entry : chunk_spectra_) {
     for (const auto& chunk : entry.second->chunks) {
@@ -256,7 +238,6 @@ std::size_t MassEngine::CacheMemoryBytes() {
     bytes += scratch->reversed_query.capacity() * sizeof(double);
     bytes += scratch->bins.capacity() * kComplexBytes;
     bytes += scratch->conv.capacity() * sizeof(double);
-    bytes += scratch->pair_bins.capacity() * kComplexBytes;
     bytes += scratch->reversed_query_b.capacity() * sizeof(double);
     bytes += scratch->ols_filter.capacity() * kComplexBytes;
     bytes += scratch->ols_work.capacity() * kComplexBytes;
@@ -328,70 +309,6 @@ void MassEngine::CachedSlidingDots(std::span<const double> query,
   ReleaseScratch(std::move(scratch));
 }
 
-void MassEngine::CachedSlidingDotsPair(std::span<const double> query_a,
-                                       std::span<const double> query_b,
-                                       std::size_t length,
-                                       std::vector<double>* dots_a,
-                                       std::vector<double>* dots_b) {
-  const auto centered = series_.centered();
-  const std::size_t n = centered.size();
-  const std::size_t m = length;
-  const std::size_t out_size = n + m - 1;
-  const std::size_t fft_size = fft::NextPowerOfTwo(out_size);
-  const std::size_t count = n - m + 1;
-
-  if (fft_size < 2) {  // single-point series and queries
-    dots_a->assign(1, query_a[0] * centered[0]);
-    if (query_b.empty()) {
-      dots_b->clear();
-    } else {
-      dots_b->assign(1, query_b[0] * centered[0]);
-    }
-    return;
-  }
-
-  const SeriesSpectrum& spectrum = PairSpectrumFor(fft_size);
-  std::unique_ptr<Scratch> scratch = AcquireScratch();
-
-  // Both reversed queries ride one full-size complex transform (real and
-  // imaginary lanes), the packed spectrum is multiplied elementwise by the
-  // cached bit-reversed series spectrum — legal because multiplying by a
-  // shared real spectrum commutes with the packing, and order-agnostic
-  // because a pointwise product doesn't care how bins are permuted — and
-  // one inverse separates both convolutions. Two rows therefore cost one
-  // forward + one inverse + one product, with none of the single-query
-  // path's even/odd recombination sweeps and (running DIF -> DIT) no
-  // bit-reversal permutation passes at all.
-  scratch->reversed_query.assign(query_a.rbegin(), query_a.rend());
-  scratch->reversed_query_b.assign(query_b.rbegin(), query_b.rend());
-  scratch->pair_bins.resize(fft_size);
-  spectrum.plan->RealForwardPair(scratch->reversed_query,
-                                 scratch->reversed_query_b,
-                                 scratch->pair_bins);
-  spectrum.plan->MultiplyPairByRealSpectrum(spectrum.pair_bins,
-                                            scratch->pair_bins);
-  // Instead of RealInversePair (which would materialize two full-size real
-  // arrays only for `count` entries of each to survive), run the inverse in
-  // place and read the two convolutions straight out of the packed buffer's
-  // real/imaginary lanes — at large sizes the two skipped full-size unpack
-  // sweeps are a measurable share of the pair cost.
-  spectrum.plan->InverseBitrev(scratch->pair_bins);
-
-  dots_a->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    (*dots_a)[i] = scratch->pair_bins[m - 1 + i].real();
-  }
-  if (query_b.empty()) {
-    dots_b->clear();
-  } else {
-    dots_b->resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      (*dots_b)[i] = scratch->pair_bins[m - 1 + i].imag();
-    }
-  }
-  ReleaseScratch(std::move(scratch));
-}
-
 void MassEngine::OverlapSaveDotsPair(std::span<const double> query_a,
                                      std::span<const double> query_b,
                                      std::size_t length,
@@ -401,7 +318,7 @@ void MassEngine::OverlapSaveDotsPair(std::span<const double> query_a,
   const std::size_t n = centered.size();
   const std::size_t m = length;
   const std::size_t count = n - m + 1;
-  const std::size_t chunk_size = fft::OverlapSaveFftSize(m);
+  const std::size_t chunk_size = OverlapSaveChunkSize(n, m);
 
   const std::shared_ptr<const ChunkSpectra> spectra_handle =
       ChunkSpectraFor(chunk_size);
@@ -413,7 +330,10 @@ void MassEngine::OverlapSaveDotsPair(std::span<const double> query_a,
   // each cached chunk spectrum, and one chunk-size inverse per chunk yields
   // `hop` fresh dot products per lane. Everything after the filter
   // transform touches only chunk_size-sized buffers, so the whole per-row
-  // pipeline stays cache resident no matter how long the series is.
+  // pipeline stays cache resident no matter how long the series is. Both
+  // reversed queries ride the real and imaginary lanes of one complex
+  // transform, and multiplying by the spectrum of a real chunk commutes
+  // with that packing, so one inverse separates both convolutions.
   scratch->reversed_query.assign(query_a.rbegin(), query_a.rend());
   scratch->reversed_query_b.assign(query_b.rbegin(), query_b.rend());
   scratch->ols_filter.resize(chunk_size);
@@ -425,16 +345,21 @@ void MassEngine::OverlapSaveDotsPair(std::span<const double> query_a,
   if (dots_b != nullptr) dots_b->resize(count);
   scratch->ols_work.resize(chunk_size);
   const std::size_t hop = spectra.hop;
-  for (std::size_t begin = 0; begin < count; begin += hop) {
+  // A series that fits in one chunk reads every output from chunk 0: its
+  // circular convolution wraps only positions below m - 1, so positions
+  // m-1 .. chunk_size-1 (chunk_size - m + 1 >= count of them) are clean.
+  const std::size_t span = n <= chunk_size ? count : hop;
+  for (std::size_t begin = 0; begin < count; begin += span) {
     const std::vector<std::complex<double>>& chunk =
         spectra.chunks[begin / hop];
     spectra.plan->MultiplyPairByRealSpectrumInto(chunk, scratch->ols_filter,
                                                  scratch->ols_work);
     spectra.plan->InverseBitrev(scratch->ols_work);
-    // Circular-convolution positions m-1 .. m-1+hop-1 of the chunk starting
-    // at series offset `begin` are alias-free (m - 1 <= hop) and equal the
-    // linear dot products at offsets begin .. begin+hop-1.
-    const std::size_t end = std::min(count, begin + hop);
+    // Circular-convolution positions m-1 .. m-1+span-1 of the chunk
+    // starting at series offset `begin` are alias-free (m - 1 <= hop when
+    // chunks repeat) and equal the linear dot products at offsets
+    // begin .. begin+span-1.
+    const std::size_t end = std::min(count, begin + span);
     for (std::size_t i = begin; i < end; ++i) {
       const std::complex<double>& v = scratch->ols_work[m - 1 + (i - begin)];
       (*dots_a)[i] = v.real();
@@ -442,19 +367,6 @@ void MassEngine::OverlapSaveDotsPair(std::span<const double> query_a,
     }
   }
   ReleaseScratch(std::move(scratch));
-}
-
-void MassEngine::ComputeRowPairFft(std::size_t offset_a, std::size_t offset_b,
-                                   std::size_t length, RowProfile* row_a,
-                                   RowProfile* row_b) {
-  const auto centered = series_.centered();
-  CachedSlidingDotsPair(centered.subspan(offset_a, length),
-                        centered.subspan(offset_b, length), length,
-                        &row_a->dots, &row_b->dots);
-  DistancesFromDots(series_, offset_a, length, row_a->dots,
-                    &row_a->distances);
-  DistancesFromDots(series_, offset_b, length, row_b->dots,
-                    &row_b->distances);
 }
 
 void MassEngine::ComputeRowPairOverlapSave(std::size_t offset_a,
@@ -479,8 +391,6 @@ Result<RowProfile> MassEngine::ComputeRowProfile(std::size_t query_offset,
   const std::size_t count = series_.NumSubsequences(length);
   if (backend == ConvolutionBackend::kAuto) {
     backend = ChooseConvolutionBackend(series_.size(), length, count);
-  } else if (backend == ConvolutionBackend::kAutoV1) {
-    backend = ChooseConvolutionBackendV1(series_.size(), length, count);
   }
 
   RowProfile row;
@@ -493,19 +403,10 @@ Result<RowProfile> MassEngine::ComputeRowProfile(std::size_t query_offset,
     case ConvolutionBackend::kFftSingle:
       CachedSlidingDots(query, length, &row.dots);
       break;
-    case ConvolutionBackend::kFftPair: {
-      // Forced single-row use of the pair machinery: the second lane stays
-      // empty, so the numerics match what this row would see inside a
-      // batched pair.
-      std::vector<double> unused;
-      CachedSlidingDotsPair(query, {}, length, &row.dots, &unused);
-      break;
-    }
     case ConvolutionBackend::kOverlapSave:
       OverlapSaveDotsPair(query, {}, length, &row.dots, nullptr);
       break;
     case ConvolutionBackend::kAuto:
-    case ConvolutionBackend::kAutoV1:
       return Status::Internal("unresolved convolution backend");
   }
   NoteEngineRows(backend, 1);
@@ -523,27 +424,17 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
   std::vector<RowProfile> profiles(rows.size());
   if (rows.empty()) return profiles;
 
-  const bool auto_resolved = backend == ConvolutionBackend::kAuto ||
-                             backend == ConvolutionBackend::kAutoV1;
   if (backend == ConvolutionBackend::kAuto) {
     // The cost model prices the batch as the engine will execute it:
-    // adjacent rows share one pair-packed (or overlap-save) transform, so a
-    // multi-row batch competes the pair flavors against the direct dots. (A
-    // forced kFftSingle stays single-query so callers can demand
-    // bit-identity with ComputeRowProfile.)
+    // adjacent rows share one pair-packed overlap-save pipeline, so a
+    // multi-row batch competes that against the direct dots. (A forced
+    // kFftSingle stays single-query so callers can demand bit-identity with
+    // ComputeRowProfile.)
     backend = ChooseConvolutionBackend(series_.size(), length, count,
                                        /*batched=*/rows.size() > 1);
-  } else if (backend == ConvolutionBackend::kAutoV1) {
-    // The v1 policy resolved once, then upgraded a full-FFT choice to pair
-    // packing — replicated verbatim for results_version = 1 bit-compat.
-    backend = ChooseConvolutionBackendV1(series_.size(), length, count);
-    if (backend == ConvolutionBackend::kFftSingle) {
-      backend = ConvolutionBackend::kFftPair;
-    }
   }
 
-  if (backend == ConvolutionBackend::kDirect ||
-      backend == ConvolutionBackend::kFftSingle) {
+  if (backend != ConvolutionBackend::kOverlapSave) {
     // Row-independent single-query kernels: just fan the rows out. Results
     // are bit-identical to per-row ComputeRowProfile calls.
     if (backend == ConvolutionBackend::kFftSingle) {
@@ -558,58 +449,28 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
     return profiles;
   }
 
-  // Pair families: adjacent rows share one packed transform; an odd tail
-  // row falls back to the family's single-lane path. The pairing depends
-  // only on the order of `rows`, so results are independent of num_threads.
-  const bool overlap_save = backend == ConvolutionBackend::kOverlapSave;
+  // Overlap-save: adjacent rows share one packed pipeline; an odd tail row
+  // runs it single-lane. The pairing depends only on the order of `rows`,
+  // so results are independent of num_threads.
   const std::size_t pairs = rows.size() / 2;
   const std::size_t tasks = pairs + rows.size() % 2;
 
-  // Warm the spectra serially so pool workers never contend on their
-  // one-time construction — only the ones this batch will touch (the
-  // full-size pair spectrum costs a full-size transform and ~fft_size * 16
-  // bytes, so a single-row batch sticks to the half spectrum).
-  const bool odd_tail = rows.size() % 2 != 0;
-  if (overlap_save) {
-    ChunkSpectraFor(fft::OverlapSaveFftSize(length));
-  } else {
-    const std::size_t fft_size =
-        fft::NextPowerOfTwo(series_.size() + length - 1);
-    if (pairs > 0 || (odd_tail && !auto_resolved)) {
-      PairSpectrumFor(fft_size);  // forced-kFftPair tails pair-pack too
-    }
-    if (odd_tail && auto_resolved) {
-      SpectrumFor(fft_size);
-    }
-  }
+  // Warm the chunk spectra serially so pool workers never contend on their
+  // one-time construction.
+  ChunkSpectraFor(OverlapSaveChunkSize(series_.size(), length));
   VALMOD_RETURN_IF_ERROR(ParallelForWithStatus(
       0, tasks, num_threads, [&](std::size_t t) -> Status {
         if (t < pairs) {
-          if (overlap_save) {
-            ComputeRowPairOverlapSave(rows[2 * t], rows[2 * t + 1], length,
-                                      &profiles[2 * t], &profiles[2 * t + 1]);
-          } else {
-            ComputeRowPairFft(rows[2 * t], rows[2 * t + 1], length,
-                              &profiles[2 * t], &profiles[2 * t + 1]);
-          }
+          ComputeRowPairOverlapSave(rows[2 * t], rows[2 * t + 1], length,
+                                    &profiles[2 * t], &profiles[2 * t + 1]);
           // The tail (and the single-query fan-outs above) count inside
-          // ComputeRowProfile; the pair paths bypass it, so count here.
+          // ComputeRowProfile; the pair path bypasses it, so count here.
           NoteEngineRows(backend, 2);
           return Status::Ok();
         }
-        // Tail backend: overlap-save stays in its family; an auto-upgraded
-        // pair batch keeps the historical single-query tail (bit-identical
-        // to per-row calls); a caller who *forced* kFftPair gets the pair
-        // machinery (empty second lane) for the tail too, matching the
-        // single-row forced semantics.
-        ConvolutionBackend tail = ConvolutionBackend::kFftPair;
-        if (overlap_save) {
-          tail = ConvolutionBackend::kOverlapSave;
-        } else if (auto_resolved) {
-          tail = ConvolutionBackend::kFftSingle;
-        }
         VALMOD_ASSIGN_OR_RETURN(profiles.back(),
-                                ComputeRowProfile(rows.back(), length, tail));
+                                ComputeRowProfile(rows.back(), length,
+                                                  backend));
         return Status::Ok();
       }));
   return profiles;
@@ -631,8 +492,6 @@ Result<std::vector<double>> MassEngine::DistanceProfile(
     // margin, and unconditionally taking an FFT path would also pay the
     // engine's one-time spectrum build for a single cheap call.
     backend = ChooseConvolutionBackend(series_.size(), length, count);
-  } else if (backend == ConvolutionBackend::kAutoV1) {
-    backend = ChooseConvolutionBackendV1(series_.size(), length, count);
   }
 
   VALMOD_ASSIGN_OR_RETURN(CenteredQuery centered, CenterQuery(query));
@@ -645,16 +504,10 @@ Result<std::vector<double>> MassEngine::DistanceProfile(
     case ConvolutionBackend::kFftSingle:
       CachedSlidingDots(centered.values, length, &dots);
       break;
-    case ConvolutionBackend::kFftPair: {
-      std::vector<double> unused;
-      CachedSlidingDotsPair(centered.values, {}, length, &dots, &unused);
-      break;
-    }
     case ConvolutionBackend::kOverlapSave:
       OverlapSaveDotsPair(centered.values, {}, length, &dots, nullptr);
       break;
     case ConvolutionBackend::kAuto:
-    case ConvolutionBackend::kAutoV1:
       return Status::Internal("unresolved convolution backend");
   }
   NoteEngineRows(backend, 1);

@@ -29,28 +29,25 @@ namespace valmod::mass {
 ///  - kFftSingle: one query transform + pointwise product + inverse against
 ///    the cached full-size series spectrum (the spectrum, the `FftPlan`
 ///    tables, and the scratch buffers are all reused across calls).
-///  - kFftPair: the batched form packs rows two at a time through
-///    `fft::FftPlan`'s pair transforms (two real queries per complex FFT),
-///    so a pair of rows costs one forward and one inverse transform plus one
-///    pointwise product instead of two of each.
 ///  - kOverlapSave: the series is pre-transformed in overlapping chunks of
 ///    ~4x the query length (cached per chunk size, ~32 bytes per series
 ///    point), and each row runs one small filter transform plus one cached
 ///    chunk product + small inverse per chunk. This replaces the full-size
 ///    transform's n*log(n) per-row work with n*log(m), with every transform
-///    cache resident; pairs of rows share the chunk pipeline the same way
-///    the full-size pair path does.
+///    cache resident. The batched form packs rows two at a time through
+///    `fft::FftPlan`'s pair transforms (two real queries per complex FFT),
+///    so a pair of rows shares one filter transform, one product and one
+///    inverse per chunk. A series that fits in one chunk (see
+///    OverlapSaveChunkSize) runs a single chunk-size convolution.
 ///
 /// `ConvolutionBackend::kAuto` (the default everywhere) applies the
 /// calibrated cost model in `ChooseConvolutionBackend` — batched calls are
-/// priced pair-packed, exactly as they execute; `kAutoV1` applies the frozen
-/// v1 (PR 3) policy for results_version = 1 bit-compat; forcing a specific
-/// backend exists for tests and benches. Backends agree to ~1e-9 relative,
-/// not bit-for-bit (the
-/// evaluation order differs); within one backend, batched results depend
-/// only on the row order, never on `num_threads`. The auto single-query
-/// path remains bit-identical to the `mass::ComputeRowProfile` free
-/// function, which is a thin wrapper over an engine.
+/// priced pair-packed, exactly as they execute; forcing a specific backend
+/// exists for tests and benches. Backends agree to ~1e-9 relative, not
+/// bit-for-bit (the evaluation order differs); within one backend, batched
+/// results depend only on the row order, never on `num_threads`. The auto
+/// single-query path remains bit-identical to the `mass::ComputeRowProfile`
+/// free function, which is a thin wrapper over an engine.
 ///
 /// Thread-safety: all public methods are safe to call concurrently (the
 /// VALMOD certification loop recomputes batches of rows in parallel). The
@@ -65,22 +62,20 @@ class MassEngine {
   const series::DataSeries& series() const { return series_; }
 
   /// Same contract (and, under kAuto, numerics) as mass::ComputeRowProfile.
-  /// A forced backend must still satisfy the window validation; kFftPair
-  /// runs the pair machinery with an empty second lane.
+  /// A forced backend must still satisfy the window validation; a forced
+  /// kOverlapSave runs the pair pipeline with an empty second lane.
   Result<RowProfile> ComputeRowProfile(
       std::size_t query_offset, std::size_t length,
       ConvolutionBackend backend = ConvolutionBackend::kAuto);
 
   /// Batched form: row profiles for every offset in `rows` at one length,
   /// in input order. Under kAuto this resolves the backend once for the
-  /// whole batch with the FFT family priced pair-packed (kAutoV1 replays
-  /// the v1 resolve-then-upgrade sequence instead);
-  /// adjacent rows share one transform, and an odd tail row runs the
-  /// historical single-query path under kAuto but stays on the forced
-  /// backend (empty second lane) when one was given, matching the
-  /// single-row forced semantics. The row pairing — and therefore the
-  /// numeric result — depends only on the order of `rows`, never on
-  /// `num_threads`, which only controls how pairs fan out over the pool.
+  /// whole batch, with overlap-save priced pair-packed. Under overlap-save
+  /// adjacent rows share one transform and an odd tail row runs the
+  /// single-lane pipeline; the other backends compute rows independently.
+  /// The row pairing — and therefore the numeric result — depends only on
+  /// the order of `rows`, never on `num_threads`, which only controls how
+  /// rows fan out over the pool.
   Result<std::vector<RowProfile>> ComputeRowProfiles(
       std::span<const std::size_t> rows, std::size_t length,
       int num_threads = 1,
@@ -119,21 +114,19 @@ class MassEngine {
   std::size_t CacheMemoryBytes();
 
  private:
-  /// The forward spectra of the series zero-padded to one FFT size: the
-  /// half spectrum driving the single-query path, plus (built lazily, only
-  /// when the batched pair path runs) the full-size bit-reversed spectrum
-  /// driving the pair-packed path.
+  /// The half spectrum of the series zero-padded to one FFT size, driving
+  /// the single-query path.
   struct SeriesSpectrum {
     std::shared_ptr<const fft::FftPlan> plan;
     std::vector<std::complex<double>> bins;  // plan->half_spectrum_size()
-    std::vector<std::complex<double>> pair_bins;  // plan->size(), bit-rev
   };
 
   /// Overlap-save state for one chunk FFT size: the bit-reversed spectra of
   /// the centered series cut into chunks of `plan->size()` points starting
-  /// every `hop = size / 2` points. Chunk starts depend only on the chunk
-  /// size — never on the query length — so one cache entry serves every
-  /// length that maps to this size. Memory: 2 * 16 bytes per series point,
+  /// every `hop = size / 2` points (a single chunk when the series fits in
+  /// one). Chunk starts depend only on the chunk size — never on the query
+  /// length — so one cache entry serves every length that maps to this
+  /// size. Memory: 2 * 16 bytes per series point,
   /// which is why the cache is bounded (kMaxChunkSpectraSizes entries, LRU)
   /// unlike the two-entry-in-practice full-size spectra: a wide length
   /// sweep crosses one chunk size per power-of-two band of lengths.
@@ -149,13 +142,10 @@ class MassEngine {
     std::vector<double> reversed_query;
     std::vector<std::complex<double>> bins;
     std::vector<double> conv;
-    // Pair path: the packed full-size spectrum (also holds both
-    // convolutions after the in-place inverse — the dots are read straight
-    // from its real/imaginary lanes) and the second reversed query.
-    std::vector<std::complex<double>> pair_bins;
+    // Overlap-save path: the second reversed query, the (persistent across
+    // chunks) packed filter spectrum and the per-chunk product/inverse
+    // buffer.
     std::vector<double> reversed_query_b;
-    // Overlap-save path: the (persistent across chunks) packed filter
-    // spectrum and the per-chunk product/inverse buffer.
     std::vector<std::complex<double>> ols_filter;
     std::vector<std::complex<double>> ols_work;
   };
@@ -163,11 +153,6 @@ class MassEngine {
   /// Spectrum for `fft_size`, built on first use. The returned reference is
   /// stable: spectra are heap-allocated and never evicted.
   const SeriesSpectrum& SpectrumFor(std::size_t fft_size);
-
-  /// Like SpectrumFor, but additionally guarantees `pair_bins` is built.
-  /// Kept separate so single-query workloads never pay for the full-size
-  /// spectrum.
-  const SeriesSpectrum& PairSpectrumFor(std::size_t fft_size);
 
   /// Overlap-save chunk spectra for `chunk_fft_size`, built on first use
   /// (one small transform per chunk — amortized across every row computed
@@ -190,31 +175,17 @@ class MassEngine {
   void CachedSlidingDots(std::span<const double> query, std::size_t length,
                          std::vector<double>* dots);
 
-  /// Pair-packed variant: sliding dot products of two centered queries of
-  /// the same length in one forward + one inverse transform (the two
-  /// queries ride the real and imaginary lanes of a single complex FFT).
-  /// `query_b` may be empty (single-lane use); `dots_b` is then cleared.
-  void CachedSlidingDotsPair(std::span<const double> query_a,
-                             std::span<const double> query_b,
-                             std::size_t length, std::vector<double>* dots_a,
-                             std::vector<double>* dots_b);
-
-  /// Overlap-save sliding dot products: both queries (the second optional,
-  /// as in CachedSlidingDotsPair — pass an empty span and null `dots_b`)
-  /// ride one chunk-size pair transform, multiplied against every cached
-  /// chunk spectrum in turn.
+  /// Overlap-save sliding dot products: two centered queries of the same
+  /// length ride the real and imaginary lanes of one chunk-size pair
+  /// transform, multiplied against every cached chunk spectrum in turn.
+  /// The second query is optional: pass an empty span and null `dots_b`.
   void OverlapSaveDotsPair(std::span<const double> query_a,
                            std::span<const double> query_b,
                            std::size_t length, std::vector<double>* dots_a,
                            std::vector<double>* dots_b);
 
-  /// FFT-path row pair: profiles for the windows at `offset_a` / `offset_b`
-  /// through the full-size pair-packed transform.
-  void ComputeRowPairFft(std::size_t offset_a, std::size_t offset_b,
-                         std::size_t length, RowProfile* row_a,
-                         RowProfile* row_b);
-
-  /// Overlap-save row pair: same contract through the chunked pipeline.
+  /// Overlap-save row pair: profiles for the windows at `offset_a` /
+  /// `offset_b` through one pair-packed chunk pipeline.
   void ComputeRowPairOverlapSave(std::size_t offset_a, std::size_t offset_b,
                                  std::size_t length, RowProfile* row_a,
                                  RowProfile* row_b);
@@ -249,25 +220,25 @@ struct EngineCounters {
   // Full-size series-spectra cache (SpectrumFor).
   std::uint64_t series_spectra_hits = 0;
   std::uint64_t series_spectra_misses = 0;
-  // Lazily-built pair spectra (PairSpectrumFor upgrade builds).
-  std::uint64_t pair_spectra_builds = 0;
   // Overlap-save chunk-spectra cache (ChunkSpectraFor).
   std::uint64_t chunk_spectra_hits = 0;
   std::uint64_t chunk_spectra_misses = 0;
   std::uint64_t chunk_spectra_evictions = 0;
   // Chunks copied across append generations (AdoptChunkSpectraFrom).
   std::uint64_t chunk_spectra_adopted = 0;
-  // Rows of sliding-dot work per executed backend (kAuto/kAutoV1 resolve
-  // before counting, so every row lands on a concrete backend).
+  // Rows of sliding-dot work per executed backend (kAuto resolves before
+  // counting, so every row lands on a concrete backend).
   std::uint64_t rows_direct = 0;
   std::uint64_t rows_fft_single = 0;
-  std::uint64_t rows_fft_pair = 0;
   std::uint64_t rows_overlap_save = 0;
+  // Always 0: pair-packed rows run, and count, as overlap-save. Kept so
+  // readers of the field (perfbench/) keep compiling.
+  std::uint64_t rows_fft_pair = 0;
 };
 EngineCounters EngineCountersSnapshot();
 
 /// Adds `rows` to the counter for concrete backend `backend` (must not be
-/// kAuto/kAutoV1). Exposed for the engine internals; relaxed atomics.
+/// kAuto). Exposed for the engine internals; relaxed atomics.
 void NoteEngineRows(ConvolutionBackend backend, std::uint64_t rows);
 
 }  // namespace valmod::mass

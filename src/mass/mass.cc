@@ -1,10 +1,8 @@
 #include "mass/mass.h"
 
-#include <cmath>
 #include <limits>
 #include <string>
 
-#include "fft/fft.h"
 #include "mass/engine.h"
 #include "series/znorm.h"
 #include "simd/dispatch.h"
@@ -79,26 +77,6 @@ std::vector<double> DirectExternalSlidingDots(
   }
   simd::NoteKernelCalls(simd::KernelKind::kDotProduct, count);
   return dots;
-}
-
-bool PreferFftSlidingDots(std::size_t series_size, std::size_t length,
-                          std::size_t count) {
-  // The v1 cost test, frozen: the FFT path priced as a few transforms of
-  // the padded size (the convolution needs series_size + length - 1
-  // points) against count * length direct multiply-adds, with the constant
-  // 18 approximating the butterfly-to-FMA weight. The constant was tuned
-  // for the full-size transform and overprices the overlap-save path the
-  // engine usually runs since PR 3 — which is why the default selection
-  // moved to the calibrated BackendCostModel (mass/backend.h). This
-  // function must not be retuned: ChooseConvolutionBackendV1 builds on it
-  // to keep results_version = 1 bit-identical to the v1 goldens.
-  const std::size_t fft_size =
-      fft::NextPowerOfTwo(series_size + length - 1);
-  const double fft_cost = 18.0 * static_cast<double>(fft_size) *
-                          std::log2(static_cast<double>(fft_size));
-  const double direct_cost =
-      static_cast<double>(count) * static_cast<double>(length);
-  return direct_cost > fft_cost;
 }
 
 void DistancesFromDots(const series::DataSeries& series,

@@ -26,16 +26,8 @@ Result<std::vector<QueryMatch>> FindQueryMatches(
   if (options.deadline.Expired()) {
     return Status::DeadlineExceeded("query search deadline expired");
   }
-  if (!IsValidResultsVersion(options.results_version)) {
-    return Status::InvalidArgument(
-        "unknown results_version " +
-        std::to_string(options.results_version));
-  }
-  VALMOD_ASSIGN_OR_RETURN(
-      std::vector<double> distances,
-      engine.DistanceProfile(
-          query,
-          EffectiveBackend(options.backend, options.results_version)));
+  VALMOD_ASSIGN_OR_RETURN(std::vector<double> distances,
+                          engine.DistanceProfile(query, options.backend));
 
   const std::size_t exclusion =
       options.exclusion_fraction <= 0.0

@@ -44,11 +44,6 @@ struct ProfileOptions {
   /// convolutions and ignore it). kAuto applies the engine's cost-model
   /// crossover; forcing a backend exists for tests and benches.
   mass::ConvolutionBackend backend = mass::ConvolutionBackend::kAuto;
-  /// Which automatic backend-selection policy resolves kAuto (see
-  /// mass::kResultsVersion): the default (2) is the calibrated cost model;
-  /// 1 pins the frozen v1 policy so outputs stay bit-identical to
-  /// historical goldens. Ignored when `backend` forces a specific backend.
-  int results_version = mass::kResultsVersion;
 };
 
 /// Exclusion-zone radius for a length under the given fraction (min 1, so

@@ -34,11 +34,6 @@ Result<MatrixProfile> ComputeStamp(mass::MassEngine& engine,
         "length " + std::to_string(length) + " yields no subsequences in a " +
         std::to_string(series.size()) + "-point series");
   }
-  if (!mass::IsValidResultsVersion(options.results_version)) {
-    return Status::InvalidArgument(
-        "unknown results_version " +
-        std::to_string(options.results_version));
-  }
 
   MatrixProfile profile;
   profile.subsequence_length = length;
@@ -65,10 +60,8 @@ Result<MatrixProfile> ComputeStamp(mass::MassEngine& engine,
     std::iota(rows.begin(), rows.end(), begin);
     VALMOD_ASSIGN_OR_RETURN(
         std::vector<mass::RowProfile> batch,
-        engine.ComputeRowProfiles(
-            rows, length, num_threads,
-            mass::EffectiveBackend(options.backend,
-                                   options.results_version)));
+        engine.ComputeRowProfiles(rows, length, num_threads,
+                                  options.backend));
     for (std::size_t b = 0; b < batch.size(); ++b) {
       const std::size_t i = begin + b;
       mass::RowProfile& row = batch[b];

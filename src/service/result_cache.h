@@ -19,19 +19,16 @@ namespace valmod::service {
 /// identity of a computation:
 ///
 ///   dataset name + dataset generation + verb + resolved request params
-///   + results_version + backend cost-model generation
+///   + backend cost-model generation
 ///
 /// (the server builds the key; see service/server.cc). Each component
 /// closes one staleness hole:
 ///  - the dataset *generation* changes on every streaming append, so a
 ///    cached answer is never served against newer data;
-///  - `results_version` pins the backend-selection policy, which the PR 4
-///    versioning made part of a result's identity (same inputs, different
-///    policy => different ulps);
 ///  - the cost-model generation (mass::BackendCostModelGeneration) bumps
 ///    whenever CalibrateBackendCostModel installs a refit, which can
-///    silently change which backend kAuto picks under the *same*
-///    results_version.
+///    silently change which backend kAuto picks — and so the result ulps —
+///    for the same inputs.
 ///
 /// The request's `threads` param is deliberately NOT part of the key: the
 /// engine guarantees batched results depend only on row order, never on

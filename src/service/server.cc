@@ -207,19 +207,6 @@ Result<bool> BoolParam(const Value& params, std::string_view key,
   return v->AsBool();
 }
 
-Result<int> ResultsVersionParam(const Value& params) {
-  VALMOD_ASSIGN_OR_RETURN(
-      int version,
-      IntParam(params, "results_version", mass::kResultsVersion));
-  if (!mass::IsValidResultsVersion(version)) {
-    return Status::InvalidArgument(
-        "unknown results_version " + std::to_string(version) + " (valid: " +
-        std::to_string(mass::kLegacyResultsVersion) + ", " +
-        std::to_string(mass::kResultsVersion) + ")");
-  }
-  return version;
-}
-
 Result<std::vector<double>> DoublesParam(const Value& params,
                                          std::string_view key) {
   const Value* v = params.Find(key);
@@ -307,13 +294,13 @@ struct QueryPlan {
 /// the name — identifies the data: names are reusable (unload "ecg", load
 /// a different series as "ecg"; static generations restart at 1), and a
 /// name-keyed cache would serve the old series' responses for the new
-/// one. `engine_backed` adds the results_version and cost-model
-/// generation components — profile (STOMP) and discords compute no
-/// convolutions, so their bytes are identical under every backend policy
-/// and the components would only fragment the cache.
+/// one. `engine_backed` adds the cost-model generation component —
+/// profile (STOMP) and discords compute no convolutions, so their bytes are
+/// identical under every backend choice and the component would only
+/// fragment the cache.
 std::string CacheKey(const Dataset& dataset, std::uint64_t generation,
                      std::string_view verb, const std::string& params_key,
-                     int results_version, bool engine_backed) {
+                     bool engine_backed) {
   std::string key = "ds";
   key += std::to_string(dataset.uid());
   key += "|g";
@@ -323,8 +310,6 @@ std::string CacheKey(const Dataset& dataset, std::uint64_t generation,
   key += "|";
   key += params_key;
   if (engine_backed) {
-    key += "|rv";
-    key += std::to_string(results_version);
     key += "|cm";
     key += std::to_string(mass::BackendCostModelGeneration());
   }
@@ -351,7 +336,7 @@ std::optional<QueryPlan> PlanMaintainedMotifs(
   plan.cache_key = CacheKey(*dataset, dataset->generation(), "motifs",
                             "maintained,l=" + std::to_string(native) +
                                 ",k=" + std::to_string(k),
-                            mass::kResultsVersion, /*engine_backed=*/false);
+                            /*engine_backed=*/false);
   plan.job = [dataset, k, native](const Deadline& deadline)
       -> Result<std::string> {
     if (deadline.Expired()) {
@@ -401,7 +386,7 @@ std::optional<QueryPlan> PlanMaintainedDiscords(
   plan.cache_key = CacheKey(*dataset, dataset->generation(), "discords",
                             "maintained,l=" + std::to_string(native) +
                                 ",k=" + std::to_string(k),
-                            mass::kResultsVersion, /*engine_backed=*/false);
+                            /*engine_backed=*/false);
   plan.job = [dataset, k, native](const Deadline& deadline)
       -> Result<std::string> {
     if (deadline.Expired()) {
@@ -442,8 +427,7 @@ std::optional<QueryPlan> PlanMaintainedDiscords(
 Result<QueryPlan> PlanValmod(const std::shared_ptr<Dataset>& dataset,
                              const Value& params, bool build_valmap) {
   VALMOD_RETURN_IF_ERROR(RejectUnknownParams(
-      params, {"lmin", "lmax", "k", "p", "threads", "results_version",
-               "allow_partial"}));
+      params, {"lmin", "lmax", "k", "p", "threads", "allow_partial"}));
   core::ValmodOptions options;
   VALMOD_ASSIGN_OR_RETURN(options.min_length, SizeParam(params, "lmin", 0));
   VALMOD_ASSIGN_OR_RETURN(options.max_length, SizeParam(params, "lmax", 0));
@@ -459,8 +443,6 @@ Result<QueryPlan> PlanValmod(const std::shared_ptr<Dataset>& dataset,
   }
   VALMOD_ASSIGN_OR_RETURN(options.p, SizeParam(params, "p", 10));
   VALMOD_ASSIGN_OR_RETURN(options.num_threads, IntParam(params, "threads", 1));
-  VALMOD_ASSIGN_OR_RETURN(options.results_version,
-                          ResultsVersionParam(params));
   VALMOD_ASSIGN_OR_RETURN(options.allow_partial,
                           BoolParam(params, "allow_partial", false));
   options.build_valmap = build_valmap;
@@ -480,7 +462,7 @@ Result<QueryPlan> PlanValmod(const std::shared_ptr<Dataset>& dataset,
   plan.cache_key =
       CacheKey(*dataset, snapshot->generation(),
                build_valmap ? "valmap" : "motifs", params_key,
-               options.results_version, /*engine_backed=*/true);
+               /*engine_backed=*/true);
   plan.partial_flag = std::make_shared<std::atomic<bool>>(false);
   plan.job = [snapshot, options, build_valmap,
               partial_flag = plan.partial_flag](
@@ -491,7 +473,7 @@ Result<QueryPlan> PlanValmod(const std::shared_ptr<Dataset>& dataset,
                             core::RunValmod(snapshot->engine(), run_options));
     Value::Object payload;
     payload.emplace("generation", Value(snapshot->generation()));
-    payload.emplace("results_version", Value(options.results_version));
+    payload.emplace("results_version", Value(mass::kResultsVersion));
     if (result.partial) {
       partial_flag->store(true, std::memory_order_relaxed);
       payload.emplace("partial", Value(true));
@@ -571,7 +553,7 @@ Result<QueryPlan> PlanProfile(const std::shared_ptr<Dataset>& dataset,
     QueryPlan plan;
     plan.cache_key = CacheKey(*dataset, dataset->generation(), "profile",
                               "l=" + std::to_string(length),
-                              mass::kResultsVersion, /*engine_backed=*/false);
+                              /*engine_backed=*/false);
     plan.job = [dataset](const Deadline& deadline) -> Result<std::string> {
       if (deadline.Expired()) {
         return Status::DeadlineExceeded("profile deadline expired");
@@ -600,14 +582,13 @@ Result<QueryPlan> PlanProfile(const std::shared_ptr<Dataset>& dataset,
                           dataset->Snapshot());
   QueryPlan plan;
   // STOMP computes no convolutions, so its bytes are backend-independent
-  // and the key skips the rv/cm components. STAMP runs MASS rows through
-  // the snapshot's shared engine, so its key carries them — and the algo
-  // tag, so the two algorithms' (numerically ~1e-9-apart) results never
-  // alias one cache entry.
+  // and the key skips the cost-model component. STAMP runs MASS rows
+  // through the snapshot's shared engine, so its key carries it — and the
+  // algo tag, so the two algorithms' (numerically ~1e-9-apart) results
+  // never alias one cache entry.
   plan.cache_key = CacheKey(*dataset, snapshot->generation(), "profile",
                             "l=" + std::to_string(length) +
                                 (use_stamp ? ",algo=stamp" : ""),
-                            mass::kResultsVersion,
                             /*engine_backed=*/use_stamp);
   plan.job = [snapshot, length, threads,
               use_stamp](const Deadline& deadline) -> Result<std::string> {
@@ -630,11 +611,9 @@ Result<QueryPlan> PlanProfile(const std::shared_ptr<Dataset>& dataset,
 Result<QueryPlan> PlanQuery(const std::shared_ptr<Dataset>& dataset,
                             const Value& params) {
   VALMOD_RETURN_IF_ERROR(
-      RejectUnknownParams(params, {"values", "k", "results_version"}));
+      RejectUnknownParams(params, {"values", "k"}));
   mass::QuerySearchOptions options;
   VALMOD_ASSIGN_OR_RETURN(options.k, SizeParam(params, "k", 1));
-  VALMOD_ASSIGN_OR_RETURN(options.results_version,
-                          ResultsVersionParam(params));
   VALMOD_ASSIGN_OR_RETURN(std::vector<double> query,
                           DoublesParam(params, "values"));
   VALMOD_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetSnapshot> snapshot,
@@ -646,9 +625,8 @@ Result<QueryPlan> PlanQuery(const std::shared_ptr<Dataset>& dataset,
   std::string params_key = "k=" + std::to_string(options.k) + ",values=";
   DoublesValue(query).SerializeTo(&params_key);
   QueryPlan plan;
-  plan.cache_key =
-      CacheKey(*dataset, snapshot->generation(), "query", params_key,
-               options.results_version, /*engine_backed=*/true);
+  plan.cache_key = CacheKey(*dataset, snapshot->generation(), "query",
+                            params_key, /*engine_backed=*/true);
   auto shared_query = std::make_shared<std::vector<double>>(std::move(query));
   plan.job = [snapshot, options,
               shared_query](const Deadline& deadline) -> Result<std::string> {
@@ -660,7 +638,7 @@ Result<QueryPlan> PlanQuery(const std::shared_ptr<Dataset>& dataset,
                                run_options));
     Value::Object payload;
     payload.emplace("generation", Value(snapshot->generation()));
-    payload.emplace("results_version", Value(options.results_version));
+    payload.emplace("results_version", Value(mass::kResultsVersion));
     Value::Array out;
     out.reserve(matches.size());
     for (std::size_t r = 0; r < matches.size(); ++r) {
@@ -698,8 +676,7 @@ Result<QueryPlan> PlanDiscords(const std::shared_ptr<Dataset>& dataset,
                            ",k=" + std::to_string(options.k);
   QueryPlan plan;
   plan.cache_key = CacheKey(*dataset, snapshot->generation(), "discords",
-                            params_key, mass::kResultsVersion,
-                            /*engine_backed=*/false);
+                            params_key, /*engine_backed=*/false);
   plan.job = [snapshot,
               options](const Deadline& deadline) -> Result<std::string> {
     core::VariableDiscordOptions run_options = options;
@@ -918,7 +895,7 @@ Result<std::string> DoStats(Service& service) {
 
   payload.emplace("cost_model_generation",
                   Value(mass::BackendCostModelGeneration()));
-  payload.emplace("default_results_version", Value(mass::kResultsVersion));
+  payload.emplace("results_version", Value(mass::kResultsVersion));
   payload.emplace("simd_target",
                   Value(std::string(simd::TargetName(simd::ActiveTarget()))));
   payload.emplace("cpu_features", Value(simd::CpuFeatureString()));
@@ -1069,7 +1046,6 @@ Result<std::string> DoCalibrate() {
   Value::Object weights;
   weights.emplace("direct", Value(model.direct));
   weights.emplace("fft_single", Value(model.fft_single));
-  weights.emplace("fft_pair", Value(model.fft_pair));
   weights.emplace("overlap_save", Value(model.overlap_save));
   weights.emplace("overlap_save_chunk", Value(model.overlap_save_chunk));
   Value::Object payload;

@@ -1,11 +1,11 @@
 // The calibrated backend-aware cost model (mass/backend.h): the chooser
-// must pick the backend that actually measures cheapest, the frozen v1
-// policy must stay exactly the historical weight-18 boundary, and runtime
+// must pick the backend that actually measures cheapest, and runtime
 // calibration may move *choices* but never the numerics a given backend
 // produces.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -35,16 +35,16 @@ struct GridCase {
 };
 
 // Expected winners are the *measured* cheapest backends from the
-// boundary_sweep rows of BENCH_engine.json (bench_mass_engine, batched
-// single-threaded per-row timings; see the sweep summary in README /
-// ROADMAP): overlap-save wins the whole short-length grid the v1 boundary
-// used to keep on direct dots, direct survives only tiny problems, and the
-// full-size FFT family keeps queries whose overlap-save chunk degenerates
-// to the full transform.
+// boundary_sweep and single_chunk rows of BENCH_engine.json
+// (bench_mass_engine, batched single-threaded per-row timings; see the
+// sweep summary in README / ROADMAP): overlap-save wins the whole
+// short-length grid, direct survives only tiny problems, and a query whose
+// chunk clamps to the full transform runs as one overlap-save chunk in a
+// batch but keeps the full-size single-query FFT on its own.
 TEST_F(BackendCostTest, ChoiceMatchesMeasuredWinnerOnBenchGrid) {
   const GridCase cases[] = {
-      // The retuned boundary region (v1 chose direct everywhere here;
-      // measured overlap-save speedups 1.15x-4.5x, see boundary_sweep).
+      // Measured overlap-save speedups over direct 1.15x-4.5x, see
+      // boundary_sweep.
       {std::size_t{1} << 12, 64, true, ConvolutionBackend::kOverlapSave},
       {std::size_t{1} << 12, 128, true, ConvolutionBackend::kOverlapSave},
       {std::size_t{1} << 12, 256, true, ConvolutionBackend::kOverlapSave},
@@ -60,10 +60,12 @@ TEST_F(BackendCostTest, ChoiceMatchesMeasuredWinnerOnBenchGrid) {
       // Tiny problems stay direct (measured 7.6us vs 10.0us per row).
       {600, 16, true, ConvolutionBackend::kDirect},
       {600, 16, false, ConvolutionBackend::kDirect},
-      // Query a sizable fraction of the series: the chunk degenerates to
-      // the full transform, so the full-size FFT family keeps it.
-      {2048, 1024, true, ConvolutionBackend::kFftPair},
+      // Query a sizable fraction of the series: the chunk clamps to the
+      // full transform and holds the whole series.
+      {2048, 1024, true, ConvolutionBackend::kOverlapSave},
       {2048, 1024, false, ConvolutionBackend::kFftSingle},
+      {3000, 700, true, ConvolutionBackend::kOverlapSave},
+      {3000, 700, false, ConvolutionBackend::kFftSingle},
       // Long-series configurations from the PR 3 sweep stay overlap-save.
       {std::size_t{1} << 15, 1024, false, ConvolutionBackend::kOverlapSave},
       {std::size_t{1} << 17, 1024, true, ConvolutionBackend::kOverlapSave},
@@ -78,85 +80,78 @@ TEST_F(BackendCostTest, ChoiceMatchesMeasuredWinnerOnBenchGrid) {
   }
 }
 
-// The resolver must always land on a concrete backend, and only on family
-// members that match the batching mode (pair flavors exist only in
-// batches; overlap-save only when its chunk is genuinely smaller than the
-// full transform).
+// The resolver must always land on a concrete backend that matches the
+// batching mode: a batch runs rows on direct dots or pair-packed through
+// overlap-save, so the full-size single-query FFT is a single-row choice.
 TEST_F(BackendCostTest, ResolvesToConcreteBackendEverywhere) {
-  for (std::size_t n : {2u, 64u, 600u, 4096u, 100000u}) {
-    for (std::size_t length : {1u, 2u, 16u, 100u, 512u}) {
-      if (length >= n) continue;
+  for (std::size_t n : {1u, 2u, 64u, 600u, 2048u, 4096u, 100000u}) {
+    for (std::size_t length : {1u, 2u, 16u, 100u, 512u, 1024u}) {
+      if (length > n) continue;
       const std::size_t count = n - length + 1;
       for (bool batched : {false, true}) {
         const ConvolutionBackend b =
             ChooseConvolutionBackend(n, length, count, batched);
         EXPECT_NE(b, ConvolutionBackend::kAuto);
-        EXPECT_NE(b, ConvolutionBackend::kAutoV1);
-        if (!batched) EXPECT_NE(b, ConvolutionBackend::kFftPair);
-        if (batched) EXPECT_NE(b, ConvolutionBackend::kFftSingle);
-        if (b == ConvolutionBackend::kOverlapSave) {
-          EXPECT_LT(fft::OverlapSaveFftSize(length),
-                    fft::NextPowerOfTwo(n + length - 1))
-              << "n=" << n << " length=" << length;
+        if (batched) {
+          EXPECT_TRUE(b == ConvolutionBackend::kDirect ||
+                      b == ConvolutionBackend::kOverlapSave)
+              << "n=" << n << " length=" << length << " got "
+              << ConvolutionBackendName(b);
         }
       }
     }
   }
 }
 
-// The frozen v1 policy must remain the historical composition of the
-// weight-18 PreferFftSlidingDots boundary and the chunk-vs-full split —
-// that equivalence is what makes results_version = 1 bit-compatible with
-// PR 3 output (proven end-to-end by valmod_golden_test).
-TEST_F(BackendCostTest, V1PolicyIsTheLegacyBoundary) {
-  for (std::size_t n : {100u, 600u, 2048u, 8192u, 65536u}) {
-    for (std::size_t length : {4u, 16u, 64u, 128u, 512u, 1024u}) {
-      if (length >= n) continue;
-      const std::size_t count = n - length + 1;
-      const ConvolutionBackend v1 =
-          ChooseConvolutionBackendV1(n, length, count);
-      if (!PreferFftSlidingDots(n, length, count)) {
-        EXPECT_EQ(v1, ConvolutionBackend::kDirect);
-      } else if (fft::OverlapSaveFftSize(length) >=
-                 fft::NextPowerOfTwo(n + length - 1)) {
-        EXPECT_EQ(v1, ConvolutionBackend::kFftSingle);
+// The clamped chunk: non-clamped sizes keep fft::OverlapSaveFftSize, and a
+// clamped chunk never exceeds the padded full transform (floor 64) and
+// always holds the whole series.
+TEST_F(BackendCostTest, OverlapSaveChunkClampsToFullTransform) {
+  EXPECT_EQ(OverlapSaveChunkSize(std::size_t{1} << 17, 1024), 4096u);
+  EXPECT_EQ(OverlapSaveChunkSize(8192, 128), 512u);
+  EXPECT_EQ(OverlapSaveChunkSize(2048, 1024), 4096u);
+  EXPECT_EQ(OverlapSaveChunkSize(1500, 300), 2048u);
+  EXPECT_EQ(OverlapSaveChunkSize(63, 40), 128u);
+  EXPECT_EQ(OverlapSaveChunkSize(1, 1), 64u);
+  for (std::size_t n : {1u, 63u, 600u, 1500u, 3000u, 100000u}) {
+    for (std::size_t length : {1u, 16u, 40u, 300u, 700u, 1024u}) {
+      if (length > n) continue;
+      const std::size_t chunk = OverlapSaveChunkSize(n, length);
+      const std::size_t full = fft::NextPowerOfTwo(n + length - 1);
+      if (chunk < fft::OverlapSaveFftSize(length)) {
+        EXPECT_EQ(chunk, std::max<std::size_t>(64, full))
+            << "n=" << n << " length=" << length;
+        EXPECT_LE(n, chunk) << "n=" << n << " length=" << length;
       } else {
-        EXPECT_EQ(v1, ConvolutionBackend::kOverlapSave);
+        EXPECT_EQ(chunk, fft::OverlapSaveFftSize(length));
       }
     }
   }
 }
 
-// The retune in one assertion: the exact configuration the ROADMAP named
-// (2^13 points, length 128; overlap-save measured 1.5x+ over direct) moves
-// from direct under v1 to overlap-save under v2.
-TEST_F(BackendCostTest, RetiredWeight18BoundaryConfiguration) {
-  const std::size_t n = std::size_t{1} << 13;
-  const std::size_t length = 128;
-  const std::size_t count = n - length + 1;
-  EXPECT_EQ(ChooseConvolutionBackendV1(n, length, count),
-            ConvolutionBackend::kDirect);
-  EXPECT_EQ(ChooseConvolutionBackend(n, length, count, /*batched=*/true),
-            ConvolutionBackend::kOverlapSave);
-}
-
 // Cost functions: sanity of the shapes the chooser compares. Direct scales
 // with count * length; the overlap-save pipeline is cheaper per row inside
-// a pair-packed batch; the degenerate-chunk case is the FFT family's.
+// a pair-packed batch and prices one chunk when the series fits in it.
 TEST_F(BackendCostTest, CostFunctionShapes) {
   const BackendCostModel model;  // static fit
   EXPECT_DOUBLE_EQ(DirectSlidingDotsCost(model, 128, 1000),
                    model.direct * 128.0 * 1000.0);
-  EXPECT_LT(OverlapSaveSlidingDotsCost(model, 128, 8065, /*pair=*/true),
-            OverlapSaveSlidingDotsCost(model, 128, 8065, /*pair=*/false));
-  EXPECT_LT(FftSlidingDotsCost(model, 8192, 128, /*pair=*/true),
-            FftSlidingDotsCost(model, 8192, 128, /*pair=*/false));
+  EXPECT_LT(OverlapSaveSlidingDotsCost(model, 8192, 128, 8065, /*pair=*/true),
+            OverlapSaveSlidingDotsCost(model, 8192, 128, 8065,
+                                       /*pair=*/false));
   // Longer series, same length: overlap-save cost grows ~linearly (more
   // chunks), full-FFT cost jumps with the padded transform size.
-  EXPECT_LT(OverlapSaveSlidingDotsCost(model, 128, 8065, true),
-            OverlapSaveSlidingDotsCost(model, 128, 16257, true));
-  EXPECT_LT(FftSlidingDotsCost(model, 8192, 128, true),
-            FftSlidingDotsCost(model, 16384, 128, true));
+  EXPECT_LT(OverlapSaveSlidingDotsCost(model, 8192, 128, 8065, true),
+            OverlapSaveSlidingDotsCost(model, 16384, 128, 16257, true));
+  EXPECT_LT(FftSlidingDotsCost(model, 8192, 128),
+            FftSlidingDotsCost(model, 16384, 128));
+  // A series that fits in one 2048-point chunk: one filter transform, one
+  // product and one inverse, shared by the pair.
+  const double units = 2048.0 * 11.0;
+  EXPECT_DOUBLE_EQ(
+      OverlapSaveSlidingDotsCost(model, 1500, 300, 1201, /*pair=*/true),
+      (model.overlap_save * units * 2.0 + model.overlap_save_chunk * 2048.0) /
+          2.0);
 }
 
 // Calibration must be choice-only: whatever weights the microbench fits,
@@ -171,7 +166,7 @@ TEST_F(BackendCostTest, CalibrationNeverChangesBackendNumerics) {
 
   const ConvolutionBackend backends[] = {
       ConvolutionBackend::kDirect, ConvolutionBackend::kFftSingle,
-      ConvolutionBackend::kFftPair, ConvolutionBackend::kOverlapSave};
+      ConvolutionBackend::kOverlapSave};
   std::vector<std::vector<RowProfile>> before;
   for (ConvolutionBackend b : backends) {
     auto r = engine.ComputeRowProfiles(rows, length, 1, b);
@@ -183,7 +178,6 @@ TEST_F(BackendCostTest, CalibrationNeverChangesBackendNumerics) {
   // The fit must be sane: positive weights, with the butterfly families
   // costlier per unit than the dense direct FMA loop.
   EXPECT_GT(fitted.fft_single, 0.0);
-  EXPECT_GT(fitted.fft_pair, 0.0);
   EXPECT_GT(fitted.overlap_save, 0.0);
   EXPECT_GE(fitted.overlap_save_chunk, 0.0);
   // Calibrate installs itself as the active model.
@@ -211,7 +205,6 @@ TEST_F(BackendCostTest, CalibrationNeverChangesBackendNumerics) {
 TEST_F(BackendCostTest, InstalledModelSteersChoice) {
   BackendCostModel expensive_fft;
   expensive_fft.fft_single = 1e18;
-  expensive_fft.fft_pair = 1e18;
   expensive_fft.overlap_save = 1e18;
   expensive_fft.overlap_save_chunk = 1e18;
   SetBackendCostModel(expensive_fft);
@@ -221,7 +214,6 @@ TEST_F(BackendCostTest, InstalledModelSteersChoice) {
 
   BackendCostModel free_fft;
   free_fft.fft_single = 0.0;
-  free_fft.fft_pair = 0.0;
   free_fft.overlap_save = 0.0;
   free_fft.overlap_save_chunk = 0.0;
   SetBackendCostModel(free_fft);

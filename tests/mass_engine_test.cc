@@ -6,15 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "fft/fft.h"
+#include "fft/plan.h"
 #include "mass/engine.h"
 #include "mass/mass.h"
 #include "series/data_series.h"
 #include "series/generators.h"
+#include "simd/dispatch.h"
 
 namespace valmod::mass {
 namespace {
@@ -167,7 +172,7 @@ TEST(MassEngineTest, BatchedPairingIndependentOfThreadCount) {
 }
 
 // Every backend computes the same dot products in a different evaluation
-// order, so forcing each of the four against the direct-product reference
+// order, so forcing each of the three against the direct-product reference
 // must agree to relative 1e-9 — on plain rows, on constant-window rows,
 // and for batched and single-row entry points alike.
 TEST(MassEngineTest, ForcedBackendsAgreeOnBatches) {
@@ -185,7 +190,7 @@ TEST(MassEngineTest, ForcedBackendsAgreeOnBatches) {
   ASSERT_TRUE(reference.ok());
   for (ConvolutionBackend backend :
        {ConvolutionBackend::kDirect, ConvolutionBackend::kFftSingle,
-        ConvolutionBackend::kFftPair, ConvolutionBackend::kOverlapSave}) {
+        ConvolutionBackend::kOverlapSave}) {
     auto forced = engine.ComputeRowProfiles(rows, length, /*num_threads=*/3,
                                             backend);
     ASSERT_TRUE(forced.ok()) << ConvolutionBackendName(backend);
@@ -214,8 +219,7 @@ TEST(MassEngineTest, ForcedBackendsAgreeOnSingleRows) {
         engine.ComputeRowProfile(40, length, ConvolutionBackend::kDirect);
     ASSERT_TRUE(reference.ok());
     for (ConvolutionBackend backend :
-         {ConvolutionBackend::kFftSingle, ConvolutionBackend::kFftPair,
-          ConvolutionBackend::kOverlapSave}) {
+         {ConvolutionBackend::kFftSingle, ConvolutionBackend::kOverlapSave}) {
       auto forced = engine.ComputeRowProfile(40, length, backend);
       ASSERT_TRUE(forced.ok()) << ConvolutionBackendName(backend);
       SCOPED_TRACE(ConvolutionBackendName(backend));
@@ -303,15 +307,19 @@ TEST(MassEngineTest, ChunkSpectraCacheIsBounded) {
   EXPECT_LE(max_cached, 4u);
 }
 
-// Pins the shape of the three-way crossover: short windows go direct, a
+// Pins the shape of the crossover: short windows go direct, a single-row
 // query that is a sizable fraction of the series keeps the full-size
-// transform, and a long series with a comparatively short query switches
-// to overlap-save.
+// transform (in a batch it runs as one pair-packed overlap-save chunk), and
+// a long series with a comparatively short query switches to overlap-save.
 TEST(BackendCostModelTest, CrossoverShape) {
   EXPECT_EQ(ChooseConvolutionBackend(600, 16, 585),
             ConvolutionBackend::kDirect);
+  EXPECT_EQ(ChooseConvolutionBackend(600, 16, 585, /*batched=*/true),
+            ConvolutionBackend::kDirect);
   EXPECT_EQ(ChooseConvolutionBackend(2048, 1024, 1025),
             ConvolutionBackend::kFftSingle);
+  EXPECT_EQ(ChooseConvolutionBackend(2048, 1024, 1025, /*batched=*/true),
+            ConvolutionBackend::kOverlapSave);
   EXPECT_EQ(ChooseConvolutionBackend(std::size_t{1} << 15, 1024,
                                      (std::size_t{1} << 15) - 1023),
             ConvolutionBackend::kOverlapSave);
@@ -347,8 +355,8 @@ TEST(MassEngineTest, DistanceProfileMatchesUncached) {
 TEST(MassEngineTest, DistanceProfileDirectPathMatchesBruteForce) {
   const std::size_t n = 600;
   const std::size_t length = 16;
-  ASSERT_FALSE(
-      PreferFftSlidingDots(n, length, n - length + 1));  // direct branch
+  ASSERT_EQ(ChooseConvolutionBackend(n, length, n - length + 1),
+            ConvolutionBackend::kDirect);
   auto series = synth::ByName("ecg", n, 29);
   ASSERT_TRUE(series.ok());
   Rng rng(31);
@@ -369,7 +377,8 @@ TEST(MassEngineTest, DistanceProfileDirectPathMatchesBruteForce) {
 TEST(MassEngineTest, DistanceProfileFftPathMatchesBruteForce) {
   const std::size_t n = 2048;
   const std::size_t length = 1024;
-  ASSERT_TRUE(PreferFftSlidingDots(n, length, n - length + 1));  // FFT branch
+  ASSERT_NE(ChooseConvolutionBackend(n, length, n - length + 1),
+            ConvolutionBackend::kDirect);
   auto series = synth::ByName("random_walk", n, 37);
   ASSERT_TRUE(series.ok());
   Rng rng(41);
@@ -413,6 +422,135 @@ TEST(MassEngineTest, RejectsInvalidWindows) {
   EXPECT_FALSE(engine.ComputeRowProfiles(rows, 100).ok());
   std::vector<double> long_query(300, 1.0);
   EXPECT_FALSE(engine.DistanceProfile(long_query).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Single-chunk overlap-save: when the query is a sizable fraction of the
+// series, OverlapSaveChunkSize clamps the chunk to the padded full
+// transform and the whole series is one chunk. Batched kAuto runs these
+// rows pair-packed through that chunk.
+// ---------------------------------------------------------------------------
+
+struct SingleChunkCase {
+  std::size_t n;
+  std::size_t length;
+};
+
+constexpr SingleChunkCase kSingleChunkCases[] = {
+    {2048, 1024}, {1500, 300}, {3000, 700}, {1, 1},   {2, 1},
+    {2, 2},       {63, 8},     {63, 40},    {63, 63},
+};
+
+void ExpectMatchesBrute(const DataSeries& series, const RowProfile& row,
+                        std::size_t offset, std::size_t length) {
+  auto window = series.Subsequence(offset, length);
+  ASSERT_TRUE(window.ok());
+  auto brute = BruteDistanceProfile(series, *window);
+  ASSERT_TRUE(brute.ok());
+  ASSERT_EQ(row.distances.size(), brute->size());
+  for (std::size_t j = 0; j < brute->size(); ++j) {
+    EXPECT_NEAR(row.distances[j], (*brute)[j], 1e-5)
+        << "offset=" << offset << " j=" << j;
+  }
+}
+
+TEST(MassEngineSingleChunkTest, ProfilesMatchBruteForce) {
+  for (const SingleChunkCase& c : kSingleChunkCases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 " length=" + std::to_string(c.length));
+    ASSERT_LE(c.n, OverlapSaveChunkSize(c.n, c.length));
+    auto made = synth::ByName("random_walk", c.n, 59 + c.n);
+    ASSERT_TRUE(made.ok());
+    const DataSeries& series = *made;
+    MassEngine engine(series);
+    const std::size_t count = c.n - c.length + 1;
+    // Odd row count: one packed pair plus a single-lane tail.
+    const std::vector<std::size_t> rows = {0, count - 1, count / 2};
+    for (const ConvolutionBackend backend :
+         {ConvolutionBackend::kAuto, ConvolutionBackend::kOverlapSave}) {
+      SCOPED_TRACE(ConvolutionBackendName(backend));
+      auto batch = engine.ComputeRowProfiles(rows, c.length,
+                                             /*num_threads=*/2, backend);
+      ASSERT_TRUE(batch.ok());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        ExpectMatchesBrute(series, (*batch)[i], rows[i], c.length);
+        auto single = engine.ComputeRowProfile(rows[i], c.length, backend);
+        ASSERT_TRUE(single.ok());
+        ExpectMatchesBrute(series, *single, rows[i], c.length);
+      }
+    }
+  }
+}
+
+std::uint64_t ComplexMultiplyCalls() {
+  const simd::KernelCounters counters = simd::KernelCountersSnapshot();
+  std::uint64_t calls = 0;
+  for (const auto& target : counters.calls) {
+    calls += target[static_cast<int>(simd::KernelKind::kComplexMultiply)];
+  }
+  return calls;
+}
+
+// A batch whose series fits in one chunk multiplies each packed row pair
+// against chunk 0 only: one spectrum product per pair, whichever way kAuto
+// or a forced overlap-save reaches the pipeline.
+TEST(MassEngineSingleChunkTest, OneSpectrumProductPerRowPair) {
+  for (const SingleChunkCase& c :
+       {SingleChunkCase{1500, 300}, SingleChunkCase{2048, 1024},
+        SingleChunkCase{3000, 700}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 " length=" + std::to_string(c.length));
+    auto series = synth::ByName("random_walk", c.n, 67);
+    ASSERT_TRUE(series.ok());
+    MassEngine engine(*series);
+    std::vector<std::size_t> rows(64);
+    for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i * 7;
+    for (const ConvolutionBackend backend :
+         {ConvolutionBackend::kAuto, ConvolutionBackend::kOverlapSave}) {
+      SCOPED_TRACE(ConvolutionBackendName(backend));
+      const std::uint64_t before = ComplexMultiplyCalls();
+      ASSERT_TRUE(
+          engine.ComputeRowProfiles(rows, c.length, 1, backend).ok());
+      EXPECT_EQ(ComplexMultiplyCalls() - before, rows.size() / 2);
+    }
+  }
+}
+
+// One chunk of the clamped pipeline runs the same kernels, in the same
+// order, as a full-size pair-packed convolution assembled from the plan's
+// primitives, so the dots agree bit for bit.
+TEST(MassEngineSingleChunkTest, BitIdenticalToFullSizePairConvolution) {
+  const std::size_t n = 2048;
+  const std::size_t length = 1024;
+  auto series = synth::ByName("random_walk", n, 71);
+  ASSERT_TRUE(series.ok());
+  const auto centered = series->centered();
+  const std::size_t count = n - length + 1;
+  const std::size_t offset_a = 5;
+  const std::size_t offset_b = 900;
+
+  const std::size_t fft_size = fft::NextPowerOfTwo(n + length - 1);
+  ASSERT_EQ(OverlapSaveChunkSize(n, length), fft_size);
+  const auto plan = fft::GetPlan(fft_size);
+  std::vector<std::complex<double>> series_bins(fft_size), packed(fft_size),
+      product(fft_size);
+  plan->RealForwardPair(centered, {}, series_bins);
+  const auto window_a = centered.subspan(offset_a, length);
+  const auto window_b = centered.subspan(offset_b, length);
+  const std::vector<double> reversed_a(window_a.rbegin(), window_a.rend());
+  const std::vector<double> reversed_b(window_b.rbegin(), window_b.rend());
+  plan->RealForwardPair(reversed_a, reversed_b, packed);
+  plan->MultiplyPairByRealSpectrumInto(series_bins, packed, product);
+  plan->InverseBitrev(product);
+
+  MassEngine engine(*series);
+  const std::vector<std::size_t> rows = {offset_a, offset_b};
+  auto batch = engine.ComputeRowProfiles(rows, length, 1);
+  ASSERT_TRUE(batch.ok());
+  for (std::size_t j = 0; j < count; ++j) {
+    ASSERT_EQ((*batch)[0].dots[j], product[length - 1 + j].real()) << j;
+    ASSERT_EQ((*batch)[1].dots[j], product[length - 1 + j].imag()) << j;
+  }
 }
 
 // ---------------------------------------------------------------------------

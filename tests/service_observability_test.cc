@@ -223,7 +223,7 @@ TEST(OpenMetricsTest, ExpositionIsValidAndCarriesEngineAndVerbSeries) {
   // backend, and the engine cache counters are exposed (process-wide).
   double rows = 0.0;
   for (const char* backend :
-       {"direct", "fft_single", "fft_pair", "overlap_save"}) {
+       {"direct", "fft_single", "overlap_save"}) {
     const double v = MetricValue(
         body, std::string("valmod_engine_rows_total{backend=\"") + backend +
                   "\"}");

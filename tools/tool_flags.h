@@ -63,8 +63,7 @@ inline Status ApplySimdFlag(const Flags& flags) {
 
 inline constexpr std::string_view kMotifsFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
-    "lmin", "lmax", "k", "p", "threads", "results-version", "calibrate",
-    "simd",
+    "lmin", "lmax", "k", "p", "threads", "calibrate", "simd",
 };
 
 inline constexpr std::string_view kDiscordsFlags[] = {
@@ -74,18 +73,17 @@ inline constexpr std::string_view kDiscordsFlags[] = {
 
 inline constexpr std::string_view kValmapFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
-    "lmin", "lmax", "k", "p", "threads", "results-version", "calibrate",
-    "output", "simd",
+    "lmin", "lmax", "k", "p", "threads", "calibrate", "output", "simd",
 };
 
 inline constexpr std::string_view kProfileFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
-    "l", "k", "threads", "results-version", "calibrate", "output", "simd",
+    "l", "k", "threads", "calibrate", "output", "simd",
 };
 
 inline constexpr std::string_view kQueryFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
-    "query", "k", "results-version", "calibrate", "simd",
+    "query", "k", "calibrate", "simd",
 };
 
 inline constexpr std::string_view kGenerateFlags[] = {

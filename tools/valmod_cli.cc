@@ -58,10 +58,8 @@ int Usage() {
                "--generate=<name> --n=<points> [--seed=1]\n"
                "          (loads reject nan/inf samples unless "
                "--allow-nonfinite drops them)\n"
-               "  motifs/valmap/query: [--results-version=%d] (%d = "
-               "calibrated cost model,\n"
-               "          %d = legacy v1 bit-compat) [--calibrate] (fit "
-               "backend weights here)\n"
+               "  motifs/valmap/query: [--calibrate] (fit backend weights "
+               "here)\n"
                "  motifs/valmap: --lmin --lmax [--k=1] [--p=10] "
                "[--threads=1]\n"
                "  discords: --lmin --lmax [--k=1] [--threads=1]\n"
@@ -73,26 +71,8 @@ int Usage() {
                "  all but generate: [--simd=scalar|avx2|avx512|neon] "
                "(force kernel dispatch;\n"
                "          same values as VALMOD_SIMD, but a bad flag value "
-               "is a hard error)\n",
-               valmod::mass::kResultsVersion, valmod::mass::kResultsVersion,
-               valmod::mass::kLegacyResultsVersion);
+               "is a hard error)\n");
   return 2;
-}
-
-/// Reads --results-version, failing fast on versions that do not exist so
-/// output is never stamped with (or silently computed under) a bogus
-/// policy label. Returns < 0 after printing the error.
-int ResultsVersion(const Flags& flags) {
-  const int version = static_cast<int>(
-      flags.GetInt("results-version", valmod::mass::kResultsVersion));
-  if (!valmod::mass::IsValidResultsVersion(version)) {
-    std::fprintf(stderr,
-                 "error: unknown --results-version=%d (valid: %d, %d)\n",
-                 version, valmod::mass::kLegacyResultsVersion,
-                 valmod::mass::kResultsVersion);
-    return -1;
-  }
-  return version;
 }
 
 /// Applies the selection-policy flags shared by every engine-backed
@@ -103,9 +83,9 @@ void ApplyBackendFlags(const Flags& flags) {
     const valmod::mass::BackendCostModel model =
         valmod::mass::CalibrateBackendCostModel();
     std::fprintf(stderr,
-                 "calibrated cost model: fft_single=%.2f fft_pair=%.2f "
-                 "overlap_save=%.2f overlap_save_chunk=%.2f (direct=1)\n",
-                 model.fft_single, model.fft_pair, model.overlap_save,
+                 "calibrated cost model: fft_single=%.2f overlap_save=%.2f "
+                 "overlap_save_chunk=%.2f (direct=1)\n",
+                 model.fft_single, model.overlap_save,
                  model.overlap_save_chunk);
   }
 }
@@ -125,12 +105,10 @@ int RunMotifs(const Flags& flags) {
   options.k = static_cast<std::size_t>(flags.GetInt("k", 1));
   options.p = static_cast<std::size_t>(flags.GetInt("p", 10));
   options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
-  options.results_version = ResultsVersion(flags);
-  if (options.results_version < 0) return 2;
   auto result = valmod::core::RunValmod(*series, options);
   if (!result.ok()) return Fail(result.status());
 
-  std::printf("# results_version=%d\n", options.results_version);
+  std::printf("# results_version=%d\n", valmod::mass::kResultsVersion);
   std::printf("length,rank,offset_a,offset_b,distance,normalized\n");
   for (const auto& lm : result->per_length) {
     for (std::size_t r = 0; r < lm.motifs.size(); ++r) {
@@ -186,8 +164,6 @@ int RunValmapCommand(const Flags& flags) {
   options.k = static_cast<std::size_t>(flags.GetInt("k", 4));
   options.p = static_cast<std::size_t>(flags.GetInt("p", 10));
   options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
-  options.results_version = ResultsVersion(flags);
-  if (options.results_version < 0) return 2;
   auto result = valmod::core::RunValmod(*series, options);
   if (!result.ok()) return Fail(result.status());
 
@@ -206,7 +182,7 @@ int RunValmapCommand(const Flags& flags) {
   std::printf("wrote %s (%zu entries, %zu updates beyond lmin, "
               "results_version=%d)\n",
               output.c_str(), valmap.size(), valmap.updates().size(),
-              options.results_version);
+              valmod::mass::kResultsVersion);
   return 0;
 }
 
@@ -215,15 +191,6 @@ int RunProfile(const Flags& flags) {
   if (!series.ok()) return Fail(series.status());
 
   ApplyBackendFlags(flags);
-  // The profile subcommand runs STOMP, a pure diagonal sweep that computes
-  // no convolutions: there is no backend choice to version, so the flag
-  // would be a silent no-op — say so instead of accepting it.
-  if (flags.Has("results-version")) {
-    std::fprintf(stderr,
-                 "note: --results-version has no effect on `profile` "
-                 "(STOMP computes no convolutions); it applies to the "
-                 "engine-backed subcommands motifs/valmap/query\n");
-  }
   const std::size_t length =
       static_cast<std::size_t>(flags.GetInt("l", 0));
   valmod::mp::ProfileOptions options;
@@ -258,14 +225,12 @@ int RunQuery(const Flags& flags) {
   ApplyBackendFlags(flags);
   valmod::mass::QuerySearchOptions options;
   options.k = static_cast<std::size_t>(flags.GetInt("k", 1));
-  options.results_version = ResultsVersion(flags);
-  if (options.results_version < 0) return 2;
   std::vector<double> query(query_series->values().begin(),
                             query_series->values().end());
   auto matches = valmod::mass::FindQueryMatches(*series, query, options);
   if (!matches.ok()) return Fail(matches.status());
 
-  std::printf("# results_version=%d\n", options.results_version);
+  std::printf("# results_version=%d\n", valmod::mass::kResultsVersion);
   std::printf("rank,offset,distance\n");
   for (std::size_t r = 0; r < matches->size(); ++r) {
     std::printf("%zu,%lld,%.10g\n", r + 1,
@@ -283,9 +248,6 @@ int RunQuery(const Flags& flags) {
 /// VALMOD_SIMD / --simd resolution).
 int RunVersion(const Flags&) {
   std::printf("results_version: %d\n", valmod::mass::kResultsVersion);
-  std::printf("results_versions_supported: %d %d\n",
-              valmod::mass::kLegacyResultsVersion,
-              valmod::mass::kResultsVersion);
   std::printf("simd_target: %s\n",
               valmod::simd::TargetName(valmod::simd::ActiveTarget()));
   std::string supported;
