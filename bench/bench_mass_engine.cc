@@ -89,7 +89,9 @@ void SeedRowProfile(const DataSeries& series, std::size_t offset,
   const auto centered = series.centered();
   const std::vector<double> dots = SeedSlidingDots(
       centered, centered.subspan(offset, length));
-  valmod::mass::DistancesFromDots(series, offset, length, dots, distances);
+  valmod::mass::WindowStatArrays stats;
+  (void)valmod::mass::BuildWindowStatArrays(series, length, &stats);
+  valmod::mass::DistancesFromDots(stats, offset, length, dots, distances);
 }
 
 /// Frozen copy of the PR 1 FftPlan: scalar radix-2 butterflies over
@@ -243,7 +245,8 @@ class Pr1SingleQueryEngine {
     const std::size_t count = series_.NumSubsequences(length);
     dots_.resize(count);
     for (std::size_t i = 0; i < count; ++i) dots_[i] = conv_[length - 1 + i];
-    valmod::mass::DistancesFromDots(series_, offset, length, dots_,
+    (void)valmod::mass::BuildWindowStatArrays(series_, length, &stats_);
+    valmod::mass::DistancesFromDots(stats_, offset, length, dots_,
                                     distances);
   }
 
@@ -256,6 +259,7 @@ class Pr1SingleQueryEngine {
   std::vector<std::complex<double>> bins_;
   std::vector<double> conv_;
   std::vector<double> dots_;
+  valmod::mass::WindowStatArrays stats_;
 };
 
 /// The seed's ParallelFor: spawn and join std::threads on every call.

@@ -102,7 +102,7 @@ BENCHMARK(BM_StompParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void BM_PartialProfileOffer(benchmark::State& state) {
   const std::size_t p = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    valmod::core::PartialProfileSet set(1, p, 64);
+    valmod::core::PartialProfileSet set(1, p);
     for (int i = 0; i < 4096; ++i) {
       set.Offer(0, i, 0.0, static_cast<double>((i * 2654435761u) % 10007));
     }

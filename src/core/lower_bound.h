@@ -39,6 +39,16 @@ inline double BaseLowerBound(double rho, std::size_t base_length) {
   return residual > 0.0 ? std::sqrt(residual) : 0.0;
 }
 
+/// The base LB of a pair of non-constant windows from their distance at the
+/// base length (rho = 1 - d^2 / 2l): the re-seeding path, where a profile
+/// row provides distances rather than correlations. Never decreases as
+/// `distance` grows.
+inline double BaseLowerBoundFromDistance(double distance,
+                                         std::size_t base_length) {
+  const double l = static_cast<double>(base_length);
+  return BaseLowerBound(1.0 - (distance * distance) / (2.0 * l), base_length);
+}
+
 /// Scales a base LB to a target length via the row subsequence's standard
 /// deviations at base and target lengths.
 ///

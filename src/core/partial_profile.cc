@@ -12,15 +12,13 @@ bool HeapLess(const Entry& a, const Entry& b) { return a.base_lb < b.base_lb; }
 
 }  // namespace
 
-PartialProfileSet::PartialProfileSet(std::size_t rows, std::size_t p,
-                                     std::size_t base_length)
+PartialProfileSet::PartialProfileSet(std::size_t rows, std::size_t p)
     : p_(p),
       entries_(rows * p),
       row_size_(rows, 0),
-      max_base_lb_(rows, std::numeric_limits<double>::infinity()),
-      base_length_(rows, base_length) {}
+      max_base_lb_(rows, std::numeric_limits<double>::infinity()) {}
 
-void PartialProfileSet::Offer(std::size_t row, int64_t match, double dot,
+void PartialProfileSet::Store(std::size_t row, int64_t match, double dot,
                               double base_lb) {
   Entry* base = &entries_[row * p_];
   std::size_t& size = row_size_[row];
@@ -30,7 +28,6 @@ void PartialProfileSet::Offer(std::size_t row, int64_t match, double dot,
     std::push_heap(base, base + size, HeapLess);
     return;
   }
-  if (base_lb >= base[0].base_lb) return;  // worse than the worst stored
   std::pop_heap(base, base + size, HeapLess);
   base[size - 1] = Entry{match, dot, base_lb, 0.0};
   std::push_heap(base, base + size, HeapLess);
@@ -45,10 +42,9 @@ void PartialProfileSet::FinishSeeding(std::size_t row) {
                           : std::numeric_limits<double>::infinity();
 }
 
-void PartialProfileSet::Reset(std::size_t row, std::size_t base_length) {
+void PartialProfileSet::Reset(std::size_t row) {
   row_size_[row] = 0;
   max_base_lb_[row] = std::numeric_limits<double>::infinity();
-  base_length_[row] = base_length;
 }
 
 }  // namespace valmod::core

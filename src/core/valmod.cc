@@ -35,13 +35,10 @@ struct RowState {
   bool constant = false;
 };
 
-/// Correlation recovered from a distance at a length (inverse of
-/// DistanceFromCorrelation); used to derive base LBs from distances that a
-/// profile row already provides.
-double CorrelationFromDistance(double distance, std::size_t length) {
-  const double l = static_cast<double>(length);
-  return 1.0 - (distance * distance) / (2.0 * l);
-}
+/// The scan's key that filters nothing (no correlation is <= -infinity):
+/// rows whose minimum or partial profile nothing constrains yet (see
+/// RhoOfferKey).
+constexpr double kNoRhoKey = -std::numeric_limits<double>::infinity();
 
 class ValmodRunner {
  public:
@@ -64,7 +61,7 @@ class ValmodRunner {
                           std::size_t exclusion, mass::RowProfile* profile);
   Result<std::vector<mp::MotifPair>> SelectTopK(std::size_t length,
                                                 std::size_t exclusion) const;
-  void RefreshWindowProfile(std::size_t length);
+  Status RefreshWindowProfile(std::size_t length);
   void ConstantRowMinimum(std::size_t row, std::size_t length,
                           std::size_t exclusion, RowState* state) const;
   void EmitLength(std::size_t length, std::vector<mp::MotifPair> motifs);
@@ -84,6 +81,9 @@ class ValmodRunner {
   // Phase-1 products.
   std::unique_ptr<PartialProfileSet> partial_;
   std::vector<char> seeded_;  // row has a usable partial profile
+  /// Each row's sigma at the length its partial profile was seeded at: the
+  /// anchor of the row's LB scale factor, stored when the row is seeded.
+  std::vector<double> base_sigma_;
 
   // Per-length working arrays (reused across lengths).
   std::vector<double> means_;
@@ -119,17 +119,14 @@ Status ValmodRunner::Validate() const {
   return Status::Ok();
 }
 
-void ValmodRunner::RefreshWindowProfile(std::size_t length) {
-  const std::size_t count = series_.NumSubsequences(length);
-  means_.resize(count);
-  stds_.resize(count);
+Status ValmodRunner::RefreshWindowProfile(std::size_t length) {
+  VALMOD_RETURN_IF_ERROR(stats_.CenteredWindowStats(length, &means_, &stds_));
+  const std::size_t count = means_.size();
   is_const_.assign(count, 0);
   const_offsets_.clear();
   non_const_offsets_.clear();
   const double threshold = stats_.constant_std_threshold();
   for (std::size_t i = 0; i < count; ++i) {
-    means_[i] = stats_.CenteredMean(i, length);
-    stds_[i] = stats_.StdDev(i, length);
     if (stds_[i] <= threshold) {
       is_const_[i] = 1;
       const_offsets_.push_back(i);
@@ -137,6 +134,7 @@ void ValmodRunner::RefreshWindowProfile(std::size_t length) {
       non_const_offsets_.push_back(i);
     }
   }
+  return Status::Ok();
 }
 
 /// Nearest offset in `sorted` at least `exclusion` away from `row`, or -1.
@@ -197,10 +195,11 @@ Status ValmodRunner::InitialScan() {
   const std::size_t exclusion =
       mp::ExclusionZoneFor(length, options_.exclusion_fraction);
 
-  RefreshWindowProfile(length);
-  partial_ = std::make_unique<PartialProfileSet>(count, options_.p, length);
+  VALMOD_RETURN_IF_ERROR(RefreshWindowProfile(length));
+  partial_ = std::make_unique<PartialProfileSet>(count, options_.p);
   seeded_.assign(count, 0);
   for (std::size_t i = 0; i < count; ++i) seeded_[i] = is_const_[i] ? 0 : 1;
+  base_sigma_ = stds_;
 
   mp::MatrixProfile& profile = result_.min_length_profile;
   profile.subsequence_length = length;
@@ -213,6 +212,9 @@ Status ValmodRunner::InitialScan() {
   // threads, diagonals are assigned round-robin and every thread fills its
   // own profile/partial set; since every pair is handled by exactly one
   // thread, merging local sets with Offer() preserves "p smallest base LBs".
+  // Each thread also keeps two correlation keys per row: most pairs change
+  // neither endpoint, and the keys prove it before the distance and the
+  // base LB (two sqrts) are evaluated.
   const int threads = std::max(1, options_.num_threads);
   std::vector<std::vector<double>> local_dist(
       threads, std::vector<double>(count, kInfinity));
@@ -223,14 +225,38 @@ Status ValmodRunner::InitialScan() {
   local_partial.emplace_back(std::move(partial_));
   for (int t = 1; t < threads; ++t) {
     local_partial.emplace_back(
-        std::make_unique<PartialProfileSet>(count, options_.p, length));
+        std::make_unique<PartialProfileSet>(count, options_.p));
   }
 
+  const double sqrt_length = std::sqrt(static_cast<double>(length));
   std::atomic<bool> expired{false};
   auto walk = [&](int thread_index) {
     std::vector<double>& dist = local_dist[thread_index];
     std::vector<int64_t>& idx = local_idx[thread_index];
     PartialProfileSet& partial = *local_partial[thread_index];
+    // min_key[i]: rho of the pair behind dist[i]. DistanceFromCorrelation
+    // never increases as rho grows, so a pair with rho <= min_key[i] cannot
+    // lower dist[i]; kNoRhoKey until a non-constant pair sets it.
+    // offer_key[i]: the row's RhoOfferKey; +infinity for rows that are
+    // never offered to.
+    std::vector<double> min_key(count, kNoRhoKey);
+    std::vector<double> offer_key(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      offer_key[i] = seeded_[i] ? kNoRhoKey : kInfinity;
+    }
+    const auto offer = [&](std::size_t row, std::size_t match, double qt,
+                           double base_lb) {
+      if (!partial.Offer(row, static_cast<int64_t>(match), qt, base_lb)) {
+        return;
+      }
+      offer_key[row] = RhoOfferKey(partial, row, length, [&](const Entry& e) {
+        const std::size_t m = static_cast<std::size_t>(e.match);
+        return is_const_[m] ? 0.0
+                            : series::CorrelationFromDot(
+                                  e.dot, means_[row], means_[m], stds_[row],
+                                  stds_[m], length);
+      });
+    };
     std::size_t steps = 0;
     for (std::size_t diag = exclusion + static_cast<std::size_t>(thread_index);
          diag < count; diag += static_cast<std::size_t>(threads)) {
@@ -247,28 +273,37 @@ Status ValmodRunner::InitialScan() {
           qt += centered_[i + length - 1] * centered_[j + length - 1] -
                 centered_[i - 1] * centered_[j - 1];
         }
+        // A constant endpoint stores the base LB of rho = 0 (sqrt(l)).
         double rho = 0.0;
+        double min_key_of_pair = kNoRhoKey;
         double d;
         if (!is_const_[i] && !is_const_[j]) {
           rho = series::CorrelationFromDot(qt, means_[i], means_[j],
                                            stds_[i], stds_[j], length);
+          if (rho <= min_key[i] && rho <= min_key[j] &&
+              rho <= offer_key[i] && rho <= offer_key[j]) {
+            continue;  // changes neither row
+          }
           d = series::DistanceFromCorrelation(rho, length);
-        } else if (is_const_[i] && is_const_[j]) {
-          d = 0.0;
+          min_key_of_pair = rho;
         } else {
-          d = std::sqrt(static_cast<double>(length));
+          d = is_const_[i] && is_const_[j] ? 0.0 : sqrt_length;
         }
         if (d < dist[i]) {
           dist[i] = d;
           idx[i] = static_cast<int64_t>(j);
+          min_key[i] = min_key_of_pair;
         }
         if (d < dist[j]) {
           dist[j] = d;
           idx[j] = static_cast<int64_t>(i);
+          min_key[j] = min_key_of_pair;
         }
-        const double base_lb = BaseLowerBound(rho, length);
-        if (seeded_[i]) partial.Offer(i, static_cast<int64_t>(j), qt, base_lb);
-        if (seeded_[j]) partial.Offer(j, static_cast<int64_t>(i), qt, base_lb);
+        if (rho > offer_key[i] || rho > offer_key[j]) {
+          const double base_lb = BaseLowerBound(rho, length);
+          if (rho > offer_key[i]) offer(i, j, qt, base_lb);
+          if (rho > offer_key[j]) offer(j, i, qt, base_lb);
+        }
       }
     }
   };
@@ -332,9 +367,10 @@ Status ValmodRunner::InitialScan() {
 Status ValmodRunner::RecomputeRows(std::span<const std::size_t> rows,
                                    std::size_t length,
                                    std::size_t exclusion) {
-  // One batched engine call: adjacent rows share a pair-packed (or
-  // overlap-save) transform, the pairing depending only on the row order —
-  // never on the thread count, which only controls how pairs fan out.
+  // One batched engine call: under overlap-save adjacent rows share one
+  // transform (two rows ride one complex FFT), the pairing depending only
+  // on the row order — never on the thread count, which only controls how
+  // pairs fan out.
   VALMOD_ASSIGN_OR_RETURN(std::vector<mass::RowProfile> profiles,
                           engine_.ComputeRowProfiles(rows, length,
                                                      options_.num_threads));
@@ -351,24 +387,32 @@ void ValmodRunner::ApplyRecomputedRow(std::size_t row, std::size_t length,
                                       mass::RowProfile* profile) {
   mass::ApplyExclusionZone(&profile->distances, row, exclusion);
 
-  partial_->Reset(row, length);
+  partial_->Reset(row);
+  base_sigma_[row] = stds_[row];
   const std::size_t count = series_.NumSubsequences(length);
+  const std::span<const double> distances = profile->distances;
+  // The row's DistanceOfferKey. A constant row is not seeded (nothing reads
+  // its entries), so it offers nothing.
+  double offer_key = is_const_[row] ? -kInfinity : kInfinity;
   RowState& state = states_[row];
   state.min_dist = kInfinity;
   state.best_match = -1;
   for (std::size_t j = 0; j < count; ++j) {
-    const double d = profile->distances[j];
+    const double d = distances[j];
     if (d == kInfinity) continue;  // excluded
     if (d < state.min_dist) {
       state.min_dist = d;
       state.best_match = static_cast<int64_t>(j);
     }
-    double rho = 0.0;
-    if (!is_const_[row] && !is_const_[j]) {
-      rho = CorrelationFromDistance(d, length);
+    if (d >= offer_key) continue;
+    const double base_lb = is_const_[j] ? BaseLowerBound(0.0, length)
+                                        : BaseLowerBoundFromDistance(d, length);
+    if (partial_->Offer(row, static_cast<int64_t>(j), profile->dots[j],
+                        base_lb)) {
+      offer_key = DistanceOfferKey(*partial_, row, length, [&](const Entry& e) {
+        return distances[static_cast<std::size_t>(e.match)];
+      });
     }
-    partial_->Offer(row, static_cast<int64_t>(j), profile->dots[j],
-                    BaseLowerBound(rho, length));
   }
   partial_->FinishSeeding(row);
   seeded_[row] = is_const_[row] ? 0 : 1;
@@ -420,7 +464,7 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
   LengthStats stats;
   stats.length = length;
 
-  RefreshWindowProfile(length);
+  VALMOD_RETURN_IF_ERROR(RefreshWindowProfile(length));
   states_.assign(count, RowState{});
 
   // Sweep 1: advance every seeded row's entries by one point and evaluate
@@ -463,9 +507,8 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
     }
 
     if (seeded_[i]) {
-      const std::size_t base = partial_->base_length(i);
       state.max_lb = ScaledLowerBound(partial_->max_base_lb(i),
-                                      stats_.StdDev(i, base), stds_[i]);
+                                      base_sigma_[i], stds_[i]);
       state.valid = state.min_dist <= state.max_lb;
     } else {
       // Row had no usable partial profile (constant at its base length):

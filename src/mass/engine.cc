@@ -372,27 +372,22 @@ void MassEngine::OverlapSaveDotsPair(std::span<const double> query_a,
 void MassEngine::ComputeRowPairOverlapSave(std::size_t offset_a,
                                            std::size_t offset_b,
                                            std::size_t length,
+                                           const WindowStatArrays& stats,
                                            RowProfile* row_a,
                                            RowProfile* row_b) {
   const auto centered = series_.centered();
   OverlapSaveDotsPair(centered.subspan(offset_a, length),
                       centered.subspan(offset_b, length), length,
                       &row_a->dots, &row_b->dots);
-  DistancesFromDots(series_, offset_a, length, row_a->dots,
-                    &row_a->distances);
-  DistancesFromDots(series_, offset_b, length, row_b->dots,
-                    &row_b->distances);
+  DistancesFromDots(stats, offset_a, length, row_a->dots, &row_a->distances);
+  DistancesFromDots(stats, offset_b, length, row_b->dots, &row_b->distances);
 }
 
-Result<RowProfile> MassEngine::ComputeRowProfile(std::size_t query_offset,
-                                                 std::size_t length,
-                                                 ConvolutionBackend backend) {
-  VALMOD_RETURN_IF_ERROR(ValidateWindow(series_, query_offset, length));
+RowProfile MassEngine::RowProfileWithStats(std::size_t query_offset,
+                                           std::size_t length,
+                                           ConvolutionBackend backend,
+                                           const WindowStatArrays& stats) {
   const std::size_t count = series_.NumSubsequences(length);
-  if (backend == ConvolutionBackend::kAuto) {
-    backend = ChooseConvolutionBackend(series_.size(), length, count);
-  }
-
   RowProfile row;
   const auto query = series_.centered().subspan(query_offset, length);
   switch (backend) {
@@ -404,14 +399,26 @@ Result<RowProfile> MassEngine::ComputeRowProfile(std::size_t query_offset,
       CachedSlidingDots(query, length, &row.dots);
       break;
     case ConvolutionBackend::kOverlapSave:
+    case ConvolutionBackend::kAuto:  // resolved by the callers
       OverlapSaveDotsPair(query, {}, length, &row.dots, nullptr);
       break;
-    case ConvolutionBackend::kAuto:
-      return Status::Internal("unresolved convolution backend");
   }
   NoteEngineRows(backend, 1);
-  DistancesFromDots(series_, query_offset, length, row.dots, &row.distances);
+  DistancesFromDots(stats, query_offset, length, row.dots, &row.distances);
   return row;
+}
+
+Result<RowProfile> MassEngine::ComputeRowProfile(std::size_t query_offset,
+                                                 std::size_t length,
+                                                 ConvolutionBackend backend) {
+  VALMOD_RETURN_IF_ERROR(ValidateWindow(series_, query_offset, length));
+  const std::size_t count = series_.NumSubsequences(length);
+  if (backend == ConvolutionBackend::kAuto) {
+    backend = ChooseConvolutionBackend(series_.size(), length, count);
+  }
+  WindowStatArrays stats;
+  VALMOD_RETURN_IF_ERROR(BuildWindowStatArrays(series_, length, &stats));
+  return RowProfileWithStats(query_offset, length, backend, stats);
 }
 
 Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
@@ -433,6 +440,9 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
     backend = ChooseConvolutionBackend(series_.size(), length, count,
                                        /*batched=*/rows.size() > 1);
   }
+  // One stats sweep serves every row of the batch.
+  WindowStatArrays stats;
+  VALMOD_RETURN_IF_ERROR(BuildWindowStatArrays(series_, length, &stats));
 
   if (backend != ConvolutionBackend::kOverlapSave) {
     // Row-independent single-query kernels: just fan the rows out. Results
@@ -440,12 +450,9 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
     if (backend == ConvolutionBackend::kFftSingle) {
       SpectrumFor(fft::NextPowerOfTwo(series_.size() + length - 1));
     }
-    VALMOD_RETURN_IF_ERROR(ParallelForWithStatus(
-        0, rows.size(), num_threads, [&](std::size_t i) -> Status {
-          VALMOD_ASSIGN_OR_RETURN(
-              profiles[i], ComputeRowProfile(rows[i], length, backend));
-          return Status::Ok();
-        }));
+    ParallelFor(0, rows.size(), num_threads, [&](std::size_t i) {
+      profiles[i] = RowProfileWithStats(rows[i], length, backend, stats);
+    });
     return profiles;
   }
 
@@ -458,21 +465,18 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
   // Warm the chunk spectra serially so pool workers never contend on their
   // one-time construction.
   ChunkSpectraFor(OverlapSaveChunkSize(series_.size(), length));
-  VALMOD_RETURN_IF_ERROR(ParallelForWithStatus(
-      0, tasks, num_threads, [&](std::size_t t) -> Status {
-        if (t < pairs) {
-          ComputeRowPairOverlapSave(rows[2 * t], rows[2 * t + 1], length,
-                                    &profiles[2 * t], &profiles[2 * t + 1]);
-          // The tail (and the single-query fan-outs above) count inside
-          // ComputeRowProfile; the pair path bypasses it, so count here.
-          NoteEngineRows(backend, 2);
-          return Status::Ok();
-        }
-        VALMOD_ASSIGN_OR_RETURN(profiles.back(),
-                                ComputeRowProfile(rows.back(), length,
-                                                  backend));
-        return Status::Ok();
-      }));
+  ParallelFor(0, tasks, num_threads, [&](std::size_t t) {
+    if (t < pairs) {
+      ComputeRowPairOverlapSave(rows[2 * t], rows[2 * t + 1], length, stats,
+                                &profiles[2 * t], &profiles[2 * t + 1]);
+      // The tail (and the single-query fan-outs above) count inside
+      // RowProfileWithStats; the pair path bypasses it, so count here.
+      NoteEngineRows(backend, 2);
+      return;
+    }
+    profiles.back() =
+        RowProfileWithStats(rows.back(), length, backend, stats);
+  });
   return profiles;
 }
 

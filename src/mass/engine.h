@@ -187,8 +187,15 @@ class MassEngine {
   /// Overlap-save row pair: profiles for the windows at `offset_a` /
   /// `offset_b` through one pair-packed chunk pipeline.
   void ComputeRowPairOverlapSave(std::size_t offset_a, std::size_t offset_b,
-                                 std::size_t length, RowProfile* row_a,
-                                 RowProfile* row_b);
+                                 std::size_t length,
+                                 const WindowStatArrays& stats,
+                                 RowProfile* row_a, RowProfile* row_b);
+
+  /// One validated row through a resolved (non-kAuto) backend, with the
+  /// window statistics of `length` already built.
+  RowProfile RowProfileWithStats(std::size_t query_offset, std::size_t length,
+                                 ConvolutionBackend backend,
+                                 const WindowStatArrays& stats);
 
   const series::DataSeries& series_;
 

@@ -79,23 +79,29 @@ std::vector<double> DirectExternalSlidingDots(
   return dots;
 }
 
-void DistancesFromDots(const series::DataSeries& series,
+Status BuildWindowStatArrays(const series::DataSeries& series,
+                             std::size_t length, WindowStatArrays* stats) {
+  const stats::MovingStats& moving = series.stats();
+  stats->constant_std_threshold = moving.constant_std_threshold();
+  return moving.CenteredWindowStats(length, &stats->means, &stats->std_devs);
+}
+
+void DistancesFromDots(const WindowStatArrays& stats,
                        std::size_t query_offset, std::size_t length,
                        std::span<const double> dots,
                        std::vector<double>* distances) {
-  const stats::MovingStats& stats = series.stats();
-  const double mean_q = stats.CenteredMean(query_offset, length);
-  const double std_q = stats.StdDev(query_offset, length);
-  const double const_threshold = stats.constant_std_threshold();
+  const double* means = stats.means.data();
+  const double* std_devs = stats.std_devs.data();
+  const double const_threshold = stats.constant_std_threshold;
+  const double mean_q = means[query_offset];
+  const double std_q = std_devs[query_offset];
   const bool const_q = std_q <= const_threshold;
 
   distances->resize(dots.size());
   for (std::size_t j = 0; j < dots.size(); ++j) {
-    const double mean_j = stats.CenteredMean(j, length);
-    const double std_j = stats.StdDev(j, length);
     (*distances)[j] = series::PairDistanceFromDot(
-        dots[j], mean_q, mean_j, std_q, std_j, length, const_q,
-        std_j <= const_threshold);
+        dots[j], mean_q, means[j], std_q, std_devs[j], length, const_q,
+        std_devs[j] <= const_threshold);
   }
 }
 

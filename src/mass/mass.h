@@ -95,10 +95,27 @@ std::vector<double> DirectExternalSlidingDots(
     std::span<const double> centered_series,
     std::span<const double> centered_query, std::size_t count);
 
+/// Centered means and standard deviations of every window of one length,
+/// plus the series' constant-window threshold: everything the row distance
+/// kernel reads per window, built once per length (or per batch of rows)
+/// instead of two accessor calls per window.
+struct WindowStatArrays {
+  std::vector<double> means;     // centered representation
+  std::vector<double> std_devs;
+  double constant_std_threshold = 0.0;
+};
+
+/// Fills `stats` for the windows of `length` points of `series` with the
+/// dispatched bulk sweep (bit-identical to MovingStats::CenteredMean /
+/// StdDev). Fails if `length` is 0 or exceeds the series.
+Status BuildWindowStatArrays(const series::DataSeries& series,
+                             std::size_t length, WindowStatArrays* stats);
+
 /// Fills `distances` (resized to `dots.size()`) with the z-normalized pair
 /// distances of the window at `query_offset` against every window, given
-/// the centered sliding dot products of that row.
-void DistancesFromDots(const series::DataSeries& series,
+/// the centered sliding dot products of that row and the window statistics
+/// of its length.
+void DistancesFromDots(const WindowStatArrays& stats,
                        std::size_t query_offset, std::size_t length,
                        std::span<const double> dots,
                        std::vector<double>* distances);

@@ -88,7 +88,8 @@ class MovingStats {
                      std::vector<double>* std_devs) const;
 
   /// Same as WindowStats but with means in the centered representation; this
-  /// is the variant the distance kernels consume.
+  /// is the variant the distance kernels consume. Bit-identical to the
+  /// per-window CenteredMean / StdDev accessors.
   Status CenteredWindowStats(std::size_t length, std::vector<double>* means,
                              std::vector<double>* std_devs) const;
 
@@ -114,6 +115,11 @@ class MovingStats {
 
   static Result<MovingStats> CreateImpl(std::span<const double> data,
                                         double center);
+
+  /// The WindowStats sweep with `center` added to every window mean.
+  Status SweepWindowStats(std::size_t length, double center,
+                          std::vector<double>* means,
+                          std::vector<double>* std_devs) const;
 
   std::size_t n_ = 0;
   double global_mean_ = 0.0;

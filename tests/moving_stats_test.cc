@@ -161,7 +161,17 @@ TEST(MovingStatsTest, CenteredWindowStatsShifted) {
   ASSERT_TRUE(stats->CenteredWindowStats(10, &cmeans, &cstds).ok());
   for (std::size_t i = 0; i < means.size(); ++i) {
     EXPECT_NEAR(cmeans[i] + stats->global_mean(), means[i], 1e-10);
-    EXPECT_DOUBLE_EQ(cstds[i], stds[i]);
+    EXPECT_EQ(cstds[i], stds[i]);
+    // The bulk form must agree with the per-window accessors to the last
+    // ulp: STOMP reads the arrays, other kernels the accessors.
+    EXPECT_EQ(cmeans[i], stats->CenteredMean(i, 10)) << i;
+    EXPECT_EQ(cstds[i], stats->StdDev(i, 10)) << i;
+  }
+  // Length 1 takes the scalar path.
+  ASSERT_TRUE(stats->CenteredWindowStats(1, &cmeans, &cstds).ok());
+  for (std::size_t i = 0; i < cmeans.size(); ++i) {
+    EXPECT_EQ(cmeans[i], stats->CenteredMean(i, 1)) << i;
+    EXPECT_EQ(cstds[i], 0.0) << i;
   }
 }
 

@@ -11,6 +11,12 @@
 // The output of an earlier version is reproduced by building that revision
 // from git history. The golden cases recompute rows through the engine on
 // both sides of the direct / overlap-save crossover.
+//
+// Each case also pins its paper Figure 2 totals (valid, invalid,
+// recomputed and constant rows, and certification passes, summed over the
+// lengths). They depend on exactly which candidates every partial profile
+// stores, so a seeding shortcut that changes a stored entry fails here even
+// when the motifs it reports happen to survive.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +25,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/valmod.h"
 #include "series/generators.h"
@@ -30,19 +37,27 @@
 namespace valmod::core {
 namespace {
 
+/// LengthStats summed over every length of a run.
+struct Figure2Totals {
+  std::size_t valid_rows, invalid_rows, recomputed_rows, constant_rows,
+      passes;
+};
+
 struct GoldenCase {
   const char* name;
   const char* generator;
   std::size_t n;
   std::uint64_t seed;
   std::size_t lmin, lmax, k, p;
+  Figure2Totals totals;
 };
 
 // Must stay in sync with the header comment of the committed goldens; the
 // files bind each case to exact output bytes.
 constexpr GoldenCase kCases[] = {
-    {"ecg8192", "ecg", 8192, 7, 120, 136, 2, 10},
-    {"random_walk3000", "random_walk", 3000, 5, 48, 64, 3, 5},
+    {"ecg8192", "ecg", 8192, 7, 120, 136, 2, 10, {79746, 49286, 25, 0, 19}},
+    {"random_walk3000", "random_walk", 3000, 5, 48, 64, 3, 5,
+     {9339, 37773, 262, 0, 29}},
 };
 
 /// Renders a result exactly as the golden files store it: full-precision
@@ -76,7 +91,7 @@ std::string GoldenPath(const GoldenCase& c) {
          std::to_string(mass::kResultsVersion) + ".csv";
 }
 
-std::string RunCase(const GoldenCase& c) {
+ValmodResult RunCase(const GoldenCase& c) {
   auto series = synth::ByName(c.generator, c.n, c.seed);
   EXPECT_TRUE(series.ok());
   ValmodOptions options;
@@ -86,7 +101,19 @@ std::string RunCase(const GoldenCase& c) {
   options.p = c.p;
   auto result = RunValmod(*series, options);
   EXPECT_TRUE(result.ok());
-  return FormatGolden(c, *result);
+  return std::move(*result);
+}
+
+Figure2Totals SumStats(const ValmodResult& result) {
+  Figure2Totals totals{0, 0, 0, 0, 0};
+  for (const LengthStats& s : result.stats) {
+    totals.valid_rows += s.valid_rows;
+    totals.invalid_rows += s.invalid_rows;
+    totals.recomputed_rows += s.recomputed_rows;
+    totals.constant_rows += s.constant_rows;
+    totals.passes += s.passes;
+  }
+  return totals;
 }
 
 bool RegenRequested() {
@@ -94,8 +121,8 @@ bool RegenRequested() {
   return regen != nullptr && regen[0] != '\0' && regen[0] != '0';
 }
 
-void CompareOrRegen(const GoldenCase& c) {
-  const std::string actual = RunCase(c);
+void CompareOrRegen(const GoldenCase& c, const ValmodResult& result) {
+  const std::string actual = FormatGolden(c, result);
   const std::string path = GoldenPath(c);
   if (RegenRequested()) {
     std::ofstream out(path, std::ios::binary);
@@ -122,7 +149,20 @@ class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 // The policy's output is pinned, so an accidental cost-model drift (new
 // weights, new formula) cannot silently change released results.
-TEST_P(GoldenTest, CurrentV2MatchesGolden) { CompareOrRegen(GetParam()); }
+TEST_P(GoldenTest, CurrentV2MatchesGolden) {
+  const GoldenCase& c = GetParam();
+  const ValmodResult result = RunCase(c);
+  CompareOrRegen(c, result);
+
+  // The Figure 2 totals are not regenerated: they change only when the
+  // pruning itself changes, which is a reviewed edit of kCases.
+  const Figure2Totals got = SumStats(result);
+  EXPECT_EQ(got.valid_rows, c.totals.valid_rows) << c.name;
+  EXPECT_EQ(got.invalid_rows, c.totals.invalid_rows) << c.name;
+  EXPECT_EQ(got.recomputed_rows, c.totals.recomputed_rows) << c.name;
+  EXPECT_EQ(got.constant_rows, c.totals.constant_rows) << c.name;
+  EXPECT_EQ(got.passes, c.totals.passes) << c.name;
+}
 
 INSTANTIATE_TEST_SUITE_P(Cases, GoldenTest, ::testing::ValuesIn(kCases));
 
