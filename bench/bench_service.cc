@@ -593,9 +593,9 @@ Value RunStreamingIngest(std::size_t length) {
 
   // --- Flatness sweep: history grows to 100x the window. ---
   // Window sizes here trade CI wall time against realism: per-append cost
-  // is O(window) (the update pass plus the occasional repair rescan after
-  // an eviction), so 2048/1024 keep the whole section under ~1 minute
-  // while still streaming 100x the window / a million points.
+  // is O(window) (the update pass plus the end-of-call repair of rows
+  // orphaned by eviction), so 2048/1024 keep the whole section under ~1
+  // minute while still streaming 100x the window / a million points.
   {
     const std::size_t window = 2048;
     const std::size_t batch = 128;

@@ -34,7 +34,8 @@ struct DiscordEntry {
 /// (row, nearest neighbor) pair, deduplicated as unordered pairs, ranked by
 /// ascending distance with deterministic (offset_a, offset_b) tie-breaks.
 /// Used both by StreamingProfile::TopMotifs and as the batch oracle in the
-/// windowed parity tests, so the two can never rank differently.
+/// windowed parity tests, so the two can never rank differently. k == 0
+/// returns an empty list without scanning the profile.
 std::vector<MotifEntry> TopKMotifs(const MatrixProfile& profile,
                                    std::size_t k);
 
@@ -43,6 +44,7 @@ std::vector<MotifEntry> TopKMotifs(const MatrixProfile& profile,
 /// fall within the profile's exclusion zone of each other (the classic
 /// discord de-duplication). Rows with no eligible neighbor (+inf) are
 /// skipped — they carry no evidence, not an infinitely strong anomaly.
+/// k == 0 returns an empty list without scanning the profile.
 std::vector<DiscordEntry> TopKDiscords(const MatrixProfile& profile,
                                        std::size_t k);
 
@@ -68,21 +70,36 @@ struct StreamingOptions {
 /// Matrix Profile papers the demo builds on), with an optional sliding
 /// window bounding both memory and per-append cost.
 ///
-/// Each Append(value) admits one new subsequence and costs O(W + l) where
+/// Each appended point admits one new subsequence and costs O(W + l) where
 /// W is the retained window size (total history when unbounded): the new
 /// window's dot products against all retained windows derive from the
 /// previous newest window's dots via the same recurrence STOMP uses along
-/// diagonals, and both the new row's minimum and all affected existing rows
-/// are updated. After appending a series the profile equals the batch
-/// `ComputeStomp` result on the retained window (unit-tested, including
-/// across arbitrary append/evict interleavings).
+/// diagonals, and both the new row's best match and all affected existing
+/// rows are updated. Rows are keyed by correlation, not distance: each
+/// candidate costs a few multiplies against per-window stat arrays (mean,
+/// 1 / std, constant flag) and a compare, and ProfileSnapshot converts each
+/// row's best correlation to a distance once on read. After appending a
+/// series the profile equals the batch `ComputeStomp` result on the
+/// retained window up to rounding (unit-tested, including across arbitrary
+/// append/evict interleavings).
 ///
 /// Windowed mode (`max_points > 0`): once the buffer is full, each append
-/// evicts the oldest point, drops the profile row whose window left the
-/// buffer, and *repairs* retained rows whose recorded nearest neighbor was
-/// the evicted window by rescanning their distance row — so the maintained
-/// profile is always exactly the profile of the retained window, never a
-/// stale superset. Amortized memory is bounded by O(max_points).
+/// evicts the oldest point and drops the profile row whose window left the
+/// buffer. Retained rows whose recorded nearest neighbor was evicted are
+/// *repaired* once, at the end of the Append/AppendAll call, against the
+/// final retained window: a row whose neighbor is gone keeps its stale best
+/// until then, which no reader can observe (the call holds the profile, and
+/// callers such as the service's Dataset hold their lock across it). A
+/// stale best only blocks offers it beats, and any offer that beats it is
+/// retained, so the rows still pointing before the window start at the end
+/// of the call are exactly the rows to rescan — each once, however many
+/// points the call evicted. Repair walks the orphaned rows in ascending
+/// order: the first row of a run gets its dots directly, and each following
+/// row within a small gap steps the previous row's dots along the diagonal
+/// recurrence in O(W). A call of B points therefore costs O(B·W) plus one
+/// O(W·l) direct row per run of orphaned rows, and the maintained profile
+/// is always the profile of the retained window, never a stale superset.
+/// Amortized memory is bounded by O(max_points).
 ///
 /// Normalization and re-anchoring: incremental statistics are kept on
 /// values shifted by an anchor (z-normalized distances are shift
@@ -93,13 +110,13 @@ struct StreamingOptions {
 /// ~ eps * mean^2 / variance). When `reanchor` is on, the profile watches
 /// that ratio and, once the retained window's mean-square exceeds ~1e6x its
 /// variance, folds the current window mean into the anchor, shifts the
-/// retained values in place, rebuilds the prefix sums, and recomputes the
-/// O(W) dot-product carry — keeping the conditioning ratio bounded (~1e-10
-/// relative error) for any drift. Re-anchors are rate-limited to one per
-/// `length` appends, so their O(W l) cost amortizes to O(W) per append —
-/// the same order as the regular update. Each re-anchor bumps
-/// `anchor_epoch()`, which downstream snapshot caches use to detect that
-/// the shifted values changed wholesale.
+/// retained values in place, rebuilds the prefix sums and the per-window
+/// stats, and recomputes the O(W) dot-product carry — keeping the
+/// conditioning ratio bounded (~1e-10 relative error) for any drift.
+/// Re-anchors are rate-limited to one per `length` appends, so their O(W l)
+/// cost amortizes to O(W) per append — the same order as the regular
+/// update. Each re-anchor bumps `anchor_epoch()`, which downstream snapshot
+/// caches use to detect that the shifted values changed wholesale.
 class StreamingProfile {
  public:
   /// Creates an empty streaming profile for subsequences of `length`.
@@ -137,10 +154,11 @@ class StreamingProfile {
   std::uint64_t anchor_epoch() const { return anchor_epoch_; }
 
   /// Materialized snapshot of the maintained profile over the retained
-  /// window. O(W): distances are copied and neighbor indices rebased to be
-  /// window-relative (evicted neighbors can never appear — repair removes
-  /// them as part of the eviction that invalidated them). Rows without an
-  /// eligible non-trivial match hold +infinity / -1.
+  /// window. O(W): each row's best correlation is converted to a distance
+  /// and its neighbor index rebased to be window-relative (evicted
+  /// neighbors can never appear — the call that evicted them repaired their
+  /// rows before returning). Rows without an eligible non-trivial match
+  /// hold +infinity / -1.
   MatrixProfile ProfileSnapshot() const;
 
   /// Top-k motifs / discords of the maintained profile, window-relative
@@ -157,24 +175,26 @@ class StreamingProfile {
   std::size_t MemoryBytes() const;
 
  private:
+  /// A windowed profile reserves its O(W) scratch rows here, once, so
+  /// steady-state appends and repairs never reallocate them.
   StreamingProfile(std::size_t length, std::size_t exclusion,
-                   const StreamingOptions& options)
-      : length_(length),
-        exclusion_(exclusion),
-        reanchor_(options.reanchor),
-        values_(options.max_points) {}
+                   const StreamingOptions& options);
 
   double Mean(std::size_t offset) const;
   double Variance(std::size_t offset) const;
 
   /// Append core for a validated value; shared by Append and AppendAll.
   void AppendValidated(double value);
-  /// Evicts the oldest point + profile row and repairs rows orphaned by it.
+  /// Pushes the stats of the window at local offset `offset`.
+  void PushWindowStats(std::size_t offset);
+  /// Pops the oldest point's prefix boundary and the oldest window's row
+  /// and stats. Rows orphaned by the eviction are left to FinishCall.
   void EvictOne();
-  /// Recomputes the full distance row for the retained window at local
-  /// offset `row` against every other retained window (its previous
-  /// nearest neighbor was just evicted, so the stored minimum is stale).
-  void RepairRow(std::size_t row);
+  /// Ends an Append/AppendAll call: repairs the rows orphaned during it and
+  /// notes the call's direct dot products with the kernel counters.
+  void FinishCall();
+  /// Rescans every retained row whose nearest neighbor left the window.
+  void RepairOrphans();
   /// Folds the current window mean into the anchor if drift crossed the
   /// conditioning threshold (see class comment).
   void MaybeReanchor();
@@ -195,16 +215,34 @@ class StreamingProfile {
   /// on re-anchor; popped in lockstep with evictions.
   series::SlidingBuffer<double> prefix_;
   series::SlidingBuffer<double> prefix_sq_;
+  /// Per-window stats for the retained windows, from Mean / Variance at
+  /// admission (rebuilt on re-anchor): the mean, 1 / std (0 for a constant
+  /// window) and 0.5 for a constant window (else 0), the operands of
+  /// series::ConventionCorrelation.
+  series::SlidingBuffer<double> window_mean_;
+  series::SlidingBuffer<double> window_inv_std_;
+  series::SlidingBuffer<double> window_half_const_;
   /// QT(j, previous newest window) for every window retained at the last
   /// append; entry 0 corresponds to global window offset last_dots_start_.
+  /// `next_dots_` is the buffer the next append fills, then swaps in.
   std::vector<double> last_dots_;
+  std::vector<double> next_dots_;
   std::size_t last_dots_start_ = 0;
-  /// The maintained profile rows for retained windows: distances_[w] /
-  /// neighbors_[w] describe the window at local offset w. Neighbors are
-  /// stored as *global* stream offsets so eviction never needs an O(W)
-  /// rebase sweep; ProfileSnapshot rebases on the way out.
-  series::SlidingBuffer<double> distances_;
+  /// The maintained profile rows for retained windows: best_rho_[w] /
+  /// neighbors_[w] describe the window at local offset w (-inf / -1: no
+  /// eligible neighbor yet). Neighbors are stored as *global* stream
+  /// offsets so eviction never needs an O(W) rebase sweep; ProfileSnapshot
+  /// rebases on the way out.
+  series::SlidingBuffer<double> best_rho_;
   series::SlidingBuffer<std::int64_t> neighbors_;
+  /// Scratch reused across calls: one row's candidate correlations, the
+  /// repair chain's dots (with headroom for stepping along diagonals), and
+  /// the orphaned rows found at the end of a call.
+  std::vector<double> rho_row_;
+  std::vector<double> repair_dots_;
+  std::vector<std::size_t> orphans_;
+  /// Direct dot products of the current call, noted by FinishCall.
+  std::uint64_t direct_dots_ = 0;
 };
 
 }  // namespace valmod::mp

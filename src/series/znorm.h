@@ -50,6 +50,25 @@ inline double CorrelationFromDot(double dot, double mean_a, double mean_b,
   return std::clamp(rho, -1.0, 1.0);
 }
 
+/// Correlation with the constant-window conventions folded in, for sweeps
+/// that rank candidates by correlation and convert only the winner to a
+/// distance. Each window is described by its mean, `inv_std` (1 / std, or 0
+/// for a constant window) and `half_const` (0.5 for a constant window, else
+/// 0): two constant windows give exactly 1 and exactly one gives exactly
+/// 0.5, which DistanceFromCorrelation maps to exactly 0 and sqrt(l).
+/// Clamped at 1 only, so that perfect matches tie exactly (callers' tie
+/// rules rely on it); a value a rounding error below -1 is left as it is —
+/// it ranks last either way, and converts to 2 sqrt(l) up to rounding.
+/// Branch-free, so row sweeps over it vectorize.
+inline double ConventionCorrelation(double dot, double inv_length,
+                                    double mean_a, double mean_b,
+                                    double inv_std_a, double inv_std_b,
+                                    double half_const_a, double half_const_b) {
+  const double rho =
+      (dot * inv_length - mean_a * mean_b) * inv_std_a * inv_std_b;
+  return std::min(rho, 1.0) + (half_const_a + half_const_b);
+}
+
 /// z-normalized Euclidean distance from a correlation value.
 inline double DistanceFromCorrelation(double rho, std::size_t length) {
   const double sq = 2.0 * static_cast<double>(length) * (1.0 - rho);

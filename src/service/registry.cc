@@ -150,9 +150,12 @@ Result<Dataset::StreamingTopK> Dataset::StreamingTopKSnapshot(
         "dataset '" + name_ + "' is not streaming; it has no maintained "
         "top-k (use the motifs/discords verbs with a length range instead)");
   }
+  // One O(W) snapshot serves both rankings; a ranking asked for 0 entries
+  // returns at once without collecting or sorting rows.
+  const mp::MatrixProfile profile = streaming_->ProfileSnapshot();
   StreamingTopK top;
-  top.motifs = streaming_->TopMotifs(k_motifs);
-  top.discords = streaming_->TopDiscords(k_discords);
+  top.motifs = mp::TopKMotifs(profile, k_motifs);
+  top.discords = mp::TopKDiscords(profile, k_discords);
   top.generation = generation_;
   top.points = streaming_->size();
   top.window_start = streaming_->window_start();

@@ -135,7 +135,8 @@ class Dataset {
 
   /// Incrementally maintained top-k motifs/discords (streaming only), read
   /// from the maintained profile under the dataset lock — O(W), no batch
-  /// recomputation, consistent with the generation it reports.
+  /// recomputation, consistent with the generation it reports. Both sides
+  /// rank one profile snapshot; a side asked for 0 entries stays empty.
   struct StreamingTopK {
     std::vector<mp::MotifEntry> motifs;
     std::vector<mp::DiscordEntry> discords;

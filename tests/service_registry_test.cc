@@ -239,6 +239,45 @@ TEST(DatasetRegistryTest, WindowedStreamingEvictsAndStaysConsistent) {
   EXPECT_EQ(infos[0].points, 64u);
 }
 
+TEST(DatasetRegistryTest, StreamingTopKRanksOnlyTheRequestedSides) {
+  DatasetRegistry registry;
+  auto dataset =
+      registry.CreateStreaming("sides", 8, /*exclusion_fraction=*/0.5,
+                               /*max_points=*/96);
+  ASSERT_TRUE(dataset.ok());
+  const series::DataSeries source = MakeSeries(300, 13);
+  ASSERT_TRUE((*dataset)->Append(source.values()).ok());
+
+  auto state = (*dataset)->StreamingProfileSnapshot();
+  ASSERT_TRUE(state.ok());
+  const auto motifs = mp::TopKMotifs(state->profile, 4);
+  const auto discords = mp::TopKDiscords(state->profile, 4);
+  ASSERT_FALSE(motifs.empty());
+  ASSERT_FALSE(discords.empty());
+
+  auto only_motifs = (*dataset)->StreamingTopKSnapshot(4, 0);
+  ASSERT_TRUE(only_motifs.ok());
+  EXPECT_TRUE(only_motifs->discords.empty());
+  ASSERT_EQ(only_motifs->motifs.size(), motifs.size());
+  for (std::size_t r = 0; r < motifs.size(); ++r) {
+    EXPECT_EQ(only_motifs->motifs[r].offset_a, motifs[r].offset_a);
+    EXPECT_EQ(only_motifs->motifs[r].offset_b, motifs[r].offset_b);
+    EXPECT_EQ(only_motifs->motifs[r].distance, motifs[r].distance);
+  }
+
+  auto only_discords = (*dataset)->StreamingTopKSnapshot(0, 4);
+  ASSERT_TRUE(only_discords.ok());
+  EXPECT_TRUE(only_discords->motifs.empty());
+  ASSERT_EQ(only_discords->discords.size(), discords.size());
+  for (std::size_t r = 0; r < discords.size(); ++r) {
+    EXPECT_EQ(only_discords->discords[r].offset, discords[r].offset);
+    EXPECT_EQ(only_discords->discords[r].neighbor, discords[r].neighbor);
+    EXPECT_EQ(only_discords->discords[r].distance, discords[r].distance);
+  }
+  EXPECT_EQ(only_motifs->generation, state->generation);
+  EXPECT_EQ(only_discords->generation, state->generation);
+}
+
 TEST(DatasetRegistryTest, WindowedSnapshotServesRetainedWindow) {
   DatasetRegistry registry;
   auto dataset =

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "mp/streaming.h"
 #include "series/data_series.h"
 #include "series/generators.h"
+#include "simd/dispatch.h"
 
 namespace valmod::mp {
 namespace {
@@ -130,6 +132,41 @@ TEST(StreamingProfileTest, ConstantStreamAllZeros) {
   }
   // With 33 windows and exclusion 4, interior rows must have matches.
   EXPECT_GE(profile.indices[0], 0);
+}
+
+std::uint64_t DotProductCalls() {
+  const simd::KernelCounters counters = simd::KernelCountersSnapshot();
+  std::uint64_t total = 0;
+  for (int target = 0; target < simd::kNumTargets; ++target) {
+    total += counters.calls[target]
+                           [static_cast<int>(simd::KernelKind::kDotProduct)];
+  }
+  return total;
+}
+
+TEST(StreamingProfileTest, DirectDotProductsAreCounted) {
+  auto series = synth::ByName("sine", 400, 7);
+  ASSERT_TRUE(series.ok());
+
+  // Unbounded: one direct dot per admitted window (the recurrence derives
+  // the rest), noted once per call.
+  auto stream = StreamingProfile::Create(16);
+  ASSERT_TRUE(stream.ok());
+  std::uint64_t before = DotProductCalls();
+  ASSERT_TRUE(stream->AppendAll(series->values()).ok());
+  EXPECT_EQ(DotProductCalls() - before, 400u - 16u + 1u);
+  before = DotProductCalls();
+  ASSERT_TRUE(stream->Append(0.25).ok());
+  EXPECT_EQ(DotProductCalls() - before, 1u);
+
+  // Windowed: rows orphaned by eviction are repaired with direct dots too.
+  StreamingOptions options;
+  options.max_points = 64;
+  auto windowed = StreamingProfile::Create(16, options);
+  ASSERT_TRUE(windowed.ok());
+  before = DotProductCalls();
+  ASSERT_TRUE(windowed->AppendAll(series->values()).ok());
+  EXPECT_GT(DotProductCalls() - before, 400u - 16u + 1u);
 }
 
 }  // namespace

@@ -185,9 +185,159 @@ TEST(StreamingWindowedProfileTest, MemoryBoundedAtHundredTimesWindow) {
   }
   EXPECT_EQ(stream->size(), window);
   EXPECT_EQ(stream->total_appended(), 100 * window);
-  // All maintained arrays are O(window); ~6 doubles-or-int64 per retained
-  // point, each buffer at most ~2x live + growth slack.
+  // All maintained arrays are O(window): eight sliding buffers of one
+  // double-or-int64 per retained point, each at most ~2x live + growth
+  // slack, plus four O(window) scratch rows.
   EXPECT_LE(high_water, 40 * window * sizeof(double));
+}
+
+TEST(StreamingWindowedProfileTest, MemoryCountsStatsAndScratch) {
+  // One AppendAll of exactly W points into a fresh windowed profile: every
+  // sliding buffer holds exactly what the call reserved, and the scratch
+  // rows exactly what construction reserved, so the footprint has no slack
+  // that could hide a buffer MemoryBytes() forgot.
+  const std::size_t window = 128;
+  const std::size_t length = 16;
+  StreamingOptions options;
+  options.max_points = window;
+  auto stream = StreamingProfile::Create(length, options);
+  ASSERT_TRUE(stream.ok());
+  auto series = synth::ByName("random_walk", window, 17);
+  ASSERT_TRUE(series.ok());
+  ASSERT_TRUE(stream->AppendAll(series->values()).ok());
+  const std::size_t rows = window - length + 1;
+  // Sliding buffers: the values and two prefix sums (W + 1 boundaries),
+  // three window stats, the best correlations and the neighbors (W each).
+  const std::size_t sliding = window + 2 * (window + 1) + 5 * window;
+  // Scratch, one row each: the dot carry and its ping-pong partner, the
+  // candidate row, the repair chain (plus its stepping headroom) and the
+  // orphan list.
+  const std::size_t scratch = 5 * rows;
+  EXPECT_GE(stream->MemoryBytes(), (sliding + scratch) * sizeof(double));
+}
+
+/// Feeds `raw` into a windowed profile either in one AppendAll or one
+/// Append per point, returning the final snapshot.
+MatrixProfile FeedWindowed(const std::vector<double>& raw, std::size_t window,
+                           std::size_t length, bool per_point) {
+  StreamingOptions options;
+  options.max_points = window;
+  auto stream = StreamingProfile::Create(length, options);
+  EXPECT_TRUE(stream.ok());
+  if (per_point) {
+    for (const double value : raw) EXPECT_TRUE(stream->Append(value).ok());
+  } else {
+    EXPECT_TRUE(stream->AppendAll(raw).ok());
+  }
+  EXPECT_EQ(stream->window_start(), raw.size() - window);
+  return stream->ProfileSnapshot();
+}
+
+TEST(StreamingWindowedProfileTest, OneCallAndPerPointAppendsMatchBatch) {
+  // One AppendAll of 3 W points defers every repair to the end of the call:
+  // most rows orphaned along the way leave the window before it ends, and
+  // some are orphaned more than once. Per-point Append repairs after every
+  // point. Both must land on the batch profile of the retained window.
+  const std::size_t window = 128;
+  const std::size_t length = 16;
+  for (const char* generator : {"random_walk", "ecg", "sine"}) {
+    auto series = synth::ByName(generator, 3 * window, 29);
+    ASSERT_TRUE(series.ok());
+    const std::vector<double> raw(series->values().begin(),
+                                  series->values().end());
+    const MatrixProfile batch = BatchProfile(raw, window, length);
+    ExpectProfilesMatch(FeedWindowed(raw, window, length, false), batch, 2e-5,
+                        std::string(generator) + " one call");
+    ExpectProfilesMatch(FeedWindowed(raw, window, length, true), batch, 2e-5,
+                        std::string(generator) + " per point");
+  }
+}
+
+/// Pearson correlation of two raw windows, straight from the definition.
+double ReferenceCorrelation(const double* a, const double* b,
+                            std::size_t length) {
+  double mean_a = 0.0;
+  double mean_b = 0.0;
+  for (std::size_t i = 0; i < length; ++i) {
+    mean_a += a[i];
+    mean_b += b[i];
+  }
+  mean_a /= static_cast<double>(length);
+  mean_b /= static_cast<double>(length);
+  double cov = 0.0;
+  double var_a = 0.0;
+  double var_b = 0.0;
+  for (std::size_t i = 0; i < length; ++i) {
+    cov += (a[i] - mean_a) * (b[i] - mean_b);
+    var_a += (a[i] - mean_a) * (a[i] - mean_a);
+    var_b += (b[i] - mean_b) * (b[i] - mean_b);
+  }
+  return cov / std::sqrt(var_a * var_b);
+}
+
+TEST(StreamingWindowedProfileTest, PlateausAndSpikesKeepExactConventions) {
+  // A plateau (an opening point at 0 sets the anchor off the plateau
+  // level, so its shifted values are non-zero) with isolated one-point
+  // spikes and smooth sine bursts: constant windows,
+  // spike windows whose best match is a constant window, and generic
+  // windows, all churned through eviction.
+  const std::size_t window = 256;
+  const std::size_t length = 16;
+  std::vector<double> raw = {0.0};
+  for (std::size_t i = 0; i < 4 * window; ++i) {
+    const std::size_t phase = i % 300;
+    double value = 1.7;
+    if (phase == 150) value = 1.7 + 0.5 * static_cast<double>(1 + i % 3);
+    if (phase < 60) value = 1.7 + std::sin(2.0 * M_PI * phase / 60.0);
+    raw.push_back(value);
+  }
+  const double sqrt_l = std::sqrt(static_cast<double>(length));
+  for (const bool per_point : {false, true}) {
+    const std::string context = per_point ? "per point" : "one call";
+    const MatrixProfile maintained =
+        FeedWindowed(raw, window, length, per_point);
+    const MatrixProfile batch = BatchProfile(raw, window, length);
+    ExpectProfilesMatch(maintained, batch, 2e-5, context);
+
+    const double* retained = raw.data() + raw.size() - window;
+    const std::size_t rows = maintained.size();
+    std::vector<bool> constant(rows);
+    for (std::size_t w = 0; w < rows; ++w) {
+      constant[w] = std::all_of(retained + w, retained + w + length,
+                                [&](double x) { return x == retained[w]; });
+    }
+    std::size_t exact_zero = 0;
+    std::size_t exact_sqrt_l = 0;
+    for (std::size_t w = 0; w < rows; ++w) {
+      // The conventions decide a row when its best candidate is a constant
+      // window: always for a constant row with a constant candidate
+      // (distance 0), and for a non-constant row whose non-constant
+      // candidates all correlate clearly below 0.5 (distance sqrt(l)).
+      bool constant_candidate = false;
+      double best_other = -1.0;
+      for (std::size_t j = 0; j < rows; ++j) {
+        const std::size_t gap = j > w ? j - w : w - j;
+        if (gap < maintained.exclusion_zone) continue;
+        if (constant[j]) {
+          constant_candidate = true;
+        } else if (!constant[w]) {
+          best_other = std::max(best_other, ReferenceCorrelation(
+                                                retained + w, retained + j,
+                                                length));
+        }
+      }
+      if (!constant_candidate) continue;
+      if (constant[w]) {
+        EXPECT_EQ(maintained.distances[w], 0.0) << context << " row " << w;
+        ++exact_zero;
+      } else if (best_other < 0.5 - 1e-6) {
+        EXPECT_EQ(maintained.distances[w], sqrt_l) << context << " row " << w;
+        ++exact_sqrt_l;
+      }
+    }
+    EXPECT_GT(exact_zero, 0u) << context;
+    EXPECT_GT(exact_sqrt_l, 0u) << context;
+  }
 }
 
 TEST(StreamingWindowedProfileTest, RepetitiveDataSurvivesEvictionChurn) {
@@ -266,6 +416,40 @@ TEST(StreamingReanchorTest, ReanchoringKeepsParityWhereFixedAnchorDrifts) {
   // starts passing with a tiny error, the conditioning analysis changed).
   EXPECT_GT(fixed_anchor, 1e-4) << "fixed-anchor error";
   EXPECT_GT(fixed_anchor, 100.0 * with_reanchor);
+}
+
+TEST(StreamingReanchorTest, ParityHoldsRightAfterEveryReanchor) {
+  // A re-anchor rebuilds the prefix sums, the per-window stats and the dot
+  // carry; check the profile against batch right after each one, while the
+  // windows admitted before it are still retained. The stream opens with
+  // one point at 0 (the anchor) and then stays near 1e3: conditioned well
+  // enough (mean^2 / variance ~ 2e6) that rows recorded before the
+  // re-anchor are accurate, and far enough (past the 1e6 threshold) that
+  // the re-anchor fires once the opening point is evicted.
+  const std::size_t length = 16;
+  const std::size_t window = 128;
+  std::vector<double> raw = {0.0};
+  for (std::size_t i = 0; i < 3 * window; ++i) {
+    const double t = static_cast<double>(i);
+    raw.push_back(1e3 + std::sin(0.31 * t) + 0.2 * std::sin(0.043 * t));
+  }
+  StreamingOptions options;
+  options.max_points = window;
+  auto stream = StreamingProfile::Create(length, options);
+  ASSERT_TRUE(stream.ok());
+  std::uint64_t epoch = 0;
+  for (std::size_t fed = 0; fed < raw.size(); fed += 7) {
+    const std::size_t take = std::min<std::size_t>(7, raw.size() - fed);
+    ASSERT_TRUE(stream->AppendAll({raw.data() + fed, take}).ok());
+    if (stream->anchor_epoch() == epoch) continue;
+    epoch = stream->anchor_epoch();
+    const std::vector<double> prefix(
+        raw.begin(), raw.begin() + static_cast<long>(fed + take));
+    ExpectProfilesMatch(stream->ProfileSnapshot(),
+                        BatchProfile(prefix, window, length), 2e-5,
+                        "epoch " + std::to_string(epoch));
+  }
+  EXPECT_GT(epoch, 0u);
 }
 
 // ---------------------------------------------------------------------------
