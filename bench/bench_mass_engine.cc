@@ -29,6 +29,11 @@
 //   2c. Batched kAuto rows where the query is a sizable fraction of the
 //      series, so the overlap-save chunk clamps to the full transform and
 //      the whole series is one chunk (the `single_chunk` rows).
+//   2d. A query-by-content miss split by layer (the `query_miss` rows):
+//      on a 65,536-point ecg series at lengths 32-192 with k = 3, the
+//      engine's DistanceProfile and the bounded top-k selection
+//      (mass::SelectQueryMatches) timed separately, median and p10/p90
+//      over repetitions.
 //   3. ParallelFor dispatch: spawn-per-call std::thread (the seed's
 //      implementation) vs the persistent pool, plus the pool's
 //      threads-created counter across the timed regions — the observable
@@ -54,6 +59,7 @@
 #include "mass/backend.h"
 #include "mass/engine.h"
 #include "mass/mass.h"
+#include "mass/query_search.h"
 #include "series/data_series.h"
 #include "series/generators.h"
 #include "simd/dispatch.h"
@@ -448,6 +454,79 @@ SingleChunkResult RunSingleChunkPoint(std::size_t n, std::size_t length,
   return result;
 }
 
+/// p10 / median / p90 of one layer's per-repetition milliseconds.
+struct Spread {
+  double p10 = 0.0;
+  double median = 0.0;
+  double p90 = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  const auto at = [&ms](double q) {
+    return ms[static_cast<std::size_t>(
+        q * static_cast<double>(ms.size() - 1) + 0.5)];
+  };
+  return Spread{at(0.1), at(0.5), at(0.9)};
+}
+
+/// One query-miss configuration: the distance profile and the selection of
+/// a k = 3 query at one length, timed as separate layers.
+struct QueryMissResult {
+  std::size_t length = 0;
+  valmod::mass::ConvolutionBackend backend =
+      valmod::mass::ConvolutionBackend::kAuto;
+  Spread profile_ms;
+  Spread select_ms;
+};
+
+/// The serve_mixed miss shape: a 65,536-point series, k = 3.
+constexpr std::size_t kQueryMissSeriesN = std::size_t{1} << 16;
+constexpr std::size_t kQueryMissK = 3;
+
+/// Times `repetitions` misses per length: each repetition queries a fresh
+/// window of a second ecg series (so nothing is memoized across
+/// repetitions) through MassEngine::DistanceProfile, then runs the
+/// selection FindQueryMatches applies to that profile.
+std::vector<QueryMissResult> RunQueryMissSweep(std::size_t repetitions,
+                                               double* checksum) {
+  const DataSeries series = EcgSeries(kQueryMissSeriesN);
+  const DataSeries queries = EcgSeries(std::size_t{1} << 12);
+  valmod::mass::MassEngine engine(series);
+  std::vector<QueryMissResult> results;
+  for (std::size_t length = 32; length <= 192; length += 32) {
+    QueryMissResult r;
+    r.length = length;
+    r.backend = valmod::mass::ChooseConvolutionBackend(
+        series.size(), length, series.NumSubsequences(length));
+    std::vector<double> profile_ms;
+    std::vector<double> select_ms;
+    // Repetition 0 warms the engine's plans and spectra and is not kept.
+    for (std::size_t rep = 0; rep <= repetitions; ++rep) {
+      const std::size_t offset =
+          (rep * 97) % queries.NumSubsequences(length);
+      const std::vector<double> query =
+          queries.Subsequence(offset, length).value();
+      WallTimer timer;
+      auto distances = engine.DistanceProfile(query);
+      const double profile_elapsed = timer.ElapsedSeconds();
+      timer.Restart();
+      const std::vector<valmod::mass::QueryMatch> matches =
+          valmod::mass::SelectQueryMatches(*distances, length, kQueryMissK,
+                                           0.5);
+      const double select_elapsed = timer.ElapsedSeconds();
+      for (const auto& m : matches) *checksum += m.distance;
+      if (rep == 0) continue;
+      profile_ms.push_back(profile_elapsed * 1e3);
+      select_ms.push_back(select_elapsed * 1e3);
+    }
+    r.profile_ms = SpreadOf(std::move(profile_ms));
+    r.select_ms = SpreadOf(std::move(select_ms));
+    results.push_back(r);
+  }
+  return results;
+}
+
 /// One SIMD dispatch target's timings over the engine hot paths. The
 /// kernels are bit-identical across targets (checksums must agree), so
 /// these rows measure pure instruction-level speedup.
@@ -632,6 +711,11 @@ int main(int argc, char** argv) {
   single_chunk.push_back(RunSingleChunkPoint(2048, 1024, &checksum));
   single_chunk.push_back(RunSingleChunkPoint(3000, 700, &checksum));
 
+  // Query-miss layer split: distance profile vs top-k selection.
+  const std::size_t query_miss_repetitions = 21;
+  const std::vector<QueryMissResult> query_miss =
+      RunQueryMissSweep(query_miss_repetitions, &checksum);
+
   // SIMD target sweep: the same engine hot paths under every dispatch
   // target this build+machine supports, so the JSON records the measured
   // vector speedup (speedup_simd_vs_scalar_* rows).
@@ -714,6 +798,21 @@ int main(int argc, char** argv) {
                  r.auto_seconds, valmod::mass::ConvolutionBackendName(r.chosen));
   }
 
+  std::string query_miss_json;
+  for (std::size_t q = 0; q < query_miss.size(); ++q) {
+    const QueryMissResult& r = query_miss[q];
+    AppendFormat(&query_miss_json,
+                 "%s{\"length\":%zu,\"backend\":\"%s\","
+                 "\"profile_ms\":{\"p10\":%.4f,\"median\":%.4f,"
+                 "\"p90\":%.4f},"
+                 "\"select_ms\":{\"p10\":%.4f,\"median\":%.4f,"
+                 "\"p90\":%.4f}}",
+                 q == 0 ? "" : ",", r.length,
+                 valmod::mass::ConvolutionBackendName(r.backend),
+                 r.profile_ms.p10, r.profile_ms.median, r.profile_ms.p90,
+                 r.select_ms.p10, r.select_ms.median, r.select_ms.p90);
+  }
+
   std::string json;
   AppendFormat(
       &json,
@@ -759,10 +858,13 @@ int main(int argc, char** argv) {
       "\"cost_model\":{\"source\":\"static\",\"direct\":%.3f,"
       "\"fft_single\":%.3f,\"overlap_save\":%.3f,"
       "\"overlap_save_chunk\":%.3f},"
-      "\"boundary_sweep\":[%s],\"single_chunk\":[%s],",
+      "\"boundary_sweep\":[%s],\"single_chunk\":[%s],"
+      "\"query_miss\":{\"series_n\":%zu,\"k\":%zu,\"repetitions\":%zu,"
+      "\"rows\":[%s]},",
       valmod::mass::kResultsVersion, model.direct, model.fft_single,
       model.overlap_save, model.overlap_save_chunk, boundary_json.c_str(),
-      single_chunk_json.c_str());
+      single_chunk_json.c_str(), kQueryMissSeriesN, kQueryMissK,
+      query_miss_repetitions, query_miss_json.c_str());
   AppendFormat(
       &json,
       "\"parallel_for\":{\"rounds\":%zu,\"range\":%zu,\"threads\":%d,"

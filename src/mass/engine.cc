@@ -482,13 +482,27 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
 
 Result<std::vector<double>> MassEngine::DistanceProfile(
     std::span<const double> query, ConvolutionBackend backend) {
-  if (query.empty()) {
-    return Status::InvalidArgument("query must be non-empty");
-  }
+  // Checked before the query's own stats, which fail on an empty query.
   if (query.size() > series_.size()) {
     return Status::InvalidArgument("query longer than series");
   }
-  const std::size_t length = query.size();
+  VALMOD_ASSIGN_OR_RETURN(CenteredQuery centered, CenterQuery(query));
+  VALMOD_ASSIGN_OR_RETURN(std::vector<double> values,
+                          ExternalSlidingDots(centered, backend));
+  ExternalQueryDistancesInPlace(series_, centered.std_dev, centered.constant,
+                                query.size(), values);
+  return values;
+}
+
+Result<std::vector<double>> MassEngine::ExternalSlidingDots(
+    const CenteredQuery& query, ConvolutionBackend backend) {
+  const std::size_t length = query.values.size();
+  if (length == 0) {
+    return Status::InvalidArgument("query must be non-empty");
+  }
+  if (length > series_.size()) {
+    return Status::InvalidArgument("query longer than series");
+  }
   const std::size_t count = series_.NumSubsequences(length);
   if (backend == ConvolutionBackend::kAuto) {
     // Same cost-based selection as ComputeRowProfile: for short queries
@@ -498,28 +512,23 @@ Result<std::vector<double>> MassEngine::DistanceProfile(
     backend = ChooseConvolutionBackend(series_.size(), length, count);
   }
 
-  VALMOD_ASSIGN_OR_RETURN(CenteredQuery centered, CenterQuery(query));
   std::vector<double> dots;
   switch (backend) {
     case ConvolutionBackend::kDirect:
-      dots = DirectExternalSlidingDots(series_.centered(), centered.values,
+      dots = DirectExternalSlidingDots(series_.centered(), query.values,
                                        count);
       break;
     case ConvolutionBackend::kFftSingle:
-      CachedSlidingDots(centered.values, length, &dots);
+      CachedSlidingDots(query.values, length, &dots);
       break;
     case ConvolutionBackend::kOverlapSave:
-      OverlapSaveDotsPair(centered.values, {}, length, &dots, nullptr);
+      OverlapSaveDotsPair(query.values, {}, length, &dots, nullptr);
       break;
     case ConvolutionBackend::kAuto:
       return Status::Internal("unresolved convolution backend");
   }
   NoteEngineRows(backend, 1);
-
-  std::vector<double> distances;
-  DistancesFromExternalQueryDots(series_, centered.std_dev,
-                                 centered.constant, length, dots, &distances);
-  return distances;
+  return dots;
 }
 
 }  // namespace valmod::mass

@@ -83,9 +83,19 @@ class MassEngine {
 
   /// Same contract (and numerics) as mass::DistanceProfile: z-normalized
   /// distances of an external query against every window of the series,
-  /// through the same backend selection as ComputeRowProfile.
+  /// through the same backend selection as ComputeRowProfile. The distances
+  /// are written over the sliding dot products (ExternalSlidingDots) in
+  /// place, so the call allocates one profile-sized vector: the result.
   Result<std::vector<double>> DistanceProfile(
       std::span<const double> query,
+      ConvolutionBackend backend = ConvolutionBackend::kAuto);
+
+  /// The convolution half of DistanceProfile: the sliding dot products of
+  /// `query` (centered by its own mean, see mass::CenterQuery) against
+  /// every centered window of the series, through the same backend
+  /// selection.
+  Result<std::vector<double>> ExternalSlidingDots(
+      const CenteredQuery& query,
       ConvolutionBackend backend = ConvolutionBackend::kAuto);
 
   /// Streaming-append cache carry-over: seeds this engine's overlap-save

@@ -1,5 +1,6 @@
 #include "mass/mass.h"
 
+#include <algorithm>
 #include <limits>
 #include <string>
 
@@ -39,20 +40,26 @@ Result<CenteredQuery> CenterQuery(std::span<const double> query) {
   return centered;
 }
 
-void DistancesFromExternalQueryDots(const series::DataSeries& series,
-                                    double query_std, bool query_constant,
-                                    std::size_t length,
-                                    std::span<const double> dots,
-                                    std::vector<double>* distances) {
+void ExternalQueryDistancesInPlace(const series::DataSeries& series,
+                                   double query_std, bool query_constant,
+                                   std::size_t length,
+                                   std::span<double> values) {
   const stats::MovingStats& stats = series.stats();
   const double const_threshold = stats.constant_std_threshold();
-  distances->resize(dots.size());
-  for (std::size_t j = 0; j < dots.size(); ++j) {
-    const double mean_j = stats.CenteredMean(j, length);
-    const double std_j = stats.StdDev(j, length);
-    (*distances)[j] = series::PairDistanceFromDot(
-        dots[j], /*mean_a=*/0.0, mean_j, query_std, std_j, length,
-        query_constant, std_j <= const_threshold);
+  // A block of statistics (8 KiB) stays in L1 while its distances are
+  // written over its dots.
+  constexpr std::size_t kBlock = 512;
+  double means[kBlock] = {};
+  double std_devs[kBlock] = {};
+  for (std::size_t first = 0; first < values.size(); first += kBlock) {
+    const std::size_t count = std::min(kBlock, values.size() - first);
+    stats.CenteredWindowStats(first, count, length, means, std_devs);
+    double* block = values.data() + first;
+    for (std::size_t b = 0; b < count; ++b) {
+      block[b] = series::PairDistanceFromDot(
+          block[b], /*mean_a=*/0.0, means[b], query_std, std_devs[b], length,
+          query_constant, std_devs[b] <= const_threshold);
+    }
   }
 }
 

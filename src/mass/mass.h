@@ -72,14 +72,17 @@ struct CenteredQuery {
 /// Centers `query` by its mean. Fails on an empty query.
 Result<CenteredQuery> CenterQuery(std::span<const double> query);
 
-/// Fills `distances` with the z-normalized distances of a centered external
-/// query (std `query_std`, constancy `query_constant`) against every window
-/// of `series`, given the query's sliding dot products.
-void DistancesFromExternalQueryDots(const series::DataSeries& series,
-                                    double query_std, bool query_constant,
-                                    std::size_t length,
-                                    std::span<const double> dots,
-                                    std::vector<double>* distances);
+/// Overwrites the sliding dot products of a centered external query (std
+/// `query_std`, constancy `query_constant`) against the first
+/// `values.size()` windows of `series` with the z-normalized distances of
+/// those windows. Reads the window statistics a fixed-size block at a time
+/// through the dispatched sweep (MovingStats' range form), so it allocates
+/// nothing; bit-identical to a loop over MovingStats::CenteredMean / StdDev
+/// and series::PairDistanceFromDot.
+void ExternalQueryDistancesInPlace(const series::DataSeries& series,
+                                   double query_std, bool query_constant,
+                                   std::size_t length,
+                                   std::span<double> values);
 
 /// Direct O(count * length) sliding dot products over the centered series;
 /// the short-window fallback of the row-profile paths (for short windows it

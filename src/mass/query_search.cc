@@ -1,13 +1,11 @@
 #include "mass/query_search.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <numeric>
+#include <functional>
 
 #include "common/status.h"
 #include "common/trace.h"
-#include "mass/mass.h"
 #include "mp/matrix_profile.h"
+#include "mp/separated_select.h"
 
 namespace valmod::mass {
 
@@ -28,34 +26,26 @@ Result<std::vector<QueryMatch>> FindQueryMatches(
   }
   VALMOD_ASSIGN_OR_RETURN(std::vector<double> distances,
                           engine.DistanceProfile(query, options.backend));
+  return SelectQueryMatches(distances, query.size(), options.k,
+                            options.exclusion_fraction);
+}
 
+std::vector<QueryMatch> SelectQueryMatches(std::span<const double> distances,
+                                           std::size_t query_length,
+                                           std::size_t k,
+                                           double exclusion_fraction) {
   const std::size_t exclusion =
-      options.exclusion_fraction <= 0.0
+      exclusion_fraction <= 0.0
           ? 0
-          : mp::ExclusionZoneFor(query.size(), options.exclusion_fraction);
-
-  std::vector<std::size_t> order(distances.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (distances[a] != distances[b]) return distances[a] < distances[b];
-    return a < b;
-  });
-
+          : mp::ExclusionZoneFor(query_length, exclusion_fraction);
+  const std::vector<std::size_t> offsets = mp::SelectSeparatedBest(
+      distances, k, exclusion, std::less<double>(),
+      [](std::size_t) { return true; });
   std::vector<QueryMatch> matches;
-  for (std::size_t offset : order) {
-    if (matches.size() >= options.k) break;
-    bool overlapping = false;
-    for (const QueryMatch& m : matches) {
-      if (std::llabs(m.offset - static_cast<int64_t>(offset)) <
-          static_cast<int64_t>(exclusion)) {
-        overlapping = true;
-        break;
-      }
-    }
-    if (!overlapping) {
-      matches.push_back(
-          QueryMatch{static_cast<int64_t>(offset), distances[offset]});
-    }
+  matches.reserve(offsets.size());
+  for (std::size_t offset : offsets) {
+    matches.push_back(
+        QueryMatch{static_cast<int64_t>(offset), distances[offset]});
   }
   return matches;
 }

@@ -29,10 +29,11 @@ struct QuerySearchOptions {
   /// Convolution backend for the distance profile; kAuto applies the
   /// engine's cost-model crossover.
   ConvolutionBackend backend = ConvolutionBackend::kAuto;
-  /// Cooperative timeout / cancellation, checked before the distance
-  /// profile is computed (one profile is the whole cost of a query search,
-  /// so there is no finer-grained checkpoint to poll). The service
-  /// scheduler threads per-request deadlines through here.
+  /// Cooperative timeout / cancellation, checked once, before the distance
+  /// profile is computed: the profile is most of a query search's cost and
+  /// the bounded selection after it is a single pass over the finished
+  /// profile, so there is no finer-grained checkpoint worth polling. The
+  /// service scheduler threads per-request deadlines through here.
   Deadline deadline;
 };
 
@@ -40,7 +41,9 @@ struct QuerySearchOptions {
 /// (query-by-content over an external pattern — the "similarity search" use
 /// of MASS). Matches are returned in ascending distance and are mutually
 /// non-overlapping under the exclusion fraction. Returns fewer than k when
-/// the series runs out of separated windows. O(n log n + n log k).
+/// the series runs out of separated windows. One distance profile plus an
+/// O(n log(k * w)) selection, w = max(1, 2 * exclusion - 1) (see
+/// SelectQueryMatches).
 Result<std::vector<QueryMatch>> FindQueryMatches(
     const series::DataSeries& series, std::span<const double> query,
     const QuerySearchOptions& options = {});
@@ -51,6 +54,15 @@ Result<std::vector<QueryMatch>> FindQueryMatches(
 Result<std::vector<QueryMatch>> FindQueryMatches(
     MassEngine& engine, std::span<const double> query,
     const QuerySearchOptions& options = {});
+
+/// The selection half of FindQueryMatches: the k mutually separated best
+/// windows of a finished distance profile of a `query_length`-point query,
+/// in ascending distance with ties broken by lower offset (see
+/// mp::SelectSeparatedBest). Exclusion radius as in QuerySearchOptions.
+std::vector<QueryMatch> SelectQueryMatches(std::span<const double> distances,
+                                           std::size_t query_length,
+                                           std::size_t k,
+                                           double exclusion_fraction);
 
 }  // namespace valmod::mass
 

@@ -1,10 +1,9 @@
 #include "mp/discord.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <numeric>
+#include <functional>
 
 #include "common/status.h"
+#include "mp/separated_select.h"
 
 namespace valmod::mp {
 
@@ -12,38 +11,20 @@ Result<std::vector<Discord>> ExtractTopKDiscords(const MatrixProfile& profile,
                                                  std::size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
 
-  std::vector<std::size_t> order(profile.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (profile.distances[a] != profile.distances[b]) {
-      return profile.distances[a] > profile.distances[b];  // descending
-    }
-    return a < b;
-  });
-
+  // Rows with no valid neighbor have an undefined discord score: they are
+  // not candidates at all, so they take no room in the bounded selection.
+  const std::vector<std::size_t> rows = SelectSeparatedBest(
+      profile.distances, k, profile.exclusion_zone, std::greater<double>(),
+      [&profile](std::size_t row) {
+        return profile.indices[row] >= 0 &&
+               profile.distances[row] != kInfinity;
+      });
   std::vector<Discord> discords;
-  std::vector<int64_t> chosen;
-  for (std::size_t row : order) {
-    if (discords.size() >= k) break;
-    if (profile.indices[row] < 0 ||
-        profile.distances[row] == kInfinity) {
-      continue;  // no valid neighbor: undefined discord score
-    }
-    const int64_t offset = static_cast<int64_t>(row);
-    bool overlapping = false;
-    for (int64_t member : chosen) {
-      if (std::llabs(member - offset) <
-          static_cast<int64_t>(profile.exclusion_zone)) {
-        overlapping = true;
-        break;
-      }
-    }
-    if (overlapping) continue;
-
-    discords.push_back(Discord{offset, profile.indices[row],
+  discords.reserve(rows.size());
+  for (std::size_t row : rows) {
+    discords.push_back(Discord{static_cast<int64_t>(row), profile.indices[row],
                                profile.subsequence_length,
                                profile.distances[row]});
-    chosen.push_back(offset);
   }
   return discords;
 }

@@ -128,22 +128,37 @@ Status MovingStats::SweepWindowStats(std::size_t length, double center,
   const std::size_t count = n_ - length + 1;
   means->resize(count);
   std_devs->resize(count);
+  SweepWindowRange(0, count, length, center, means->data(), std_devs->data());
+  return Status::Ok();
+}
+
+void MovingStats::CenteredWindowStats(std::size_t first, std::size_t count,
+                                      std::size_t length, double* means,
+                                      double* std_devs) const {
+  assert(length >= 1 && first + count + length - 1 <= n_);
+  SweepWindowRange(first, count, length, 0.0, means, std_devs);
+}
+
+void MovingStats::SweepWindowRange(std::size_t first, std::size_t count,
+                                   std::size_t length, double center,
+                                   double* means, double* std_devs) const {
   if (length == 1) {
     // Variance(i, 1) is exactly 0 (see Variance's early return); the
     // dispatched sweep kernel assumes length >= 2.
     for (std::size_t i = 0; i < count; ++i) {
-      (*means)[i] = CenteredMean(i, length) + center;
+      means[i] = CenteredMean(first + i, length) + center;
     }
-    std::fill(std_devs->begin(), std_devs->end(), 0.0);
-    return Status::Ok();
+    std::fill_n(std_devs, count, 0.0);
+    return;
   }
   // One dense sweep over the prefix arrays, runtime-dispatched to the best
-  // SIMD target; bit-identical to the per-window accessor loop.
-  simd::ActiveKernels().window_stats(prefix_.data(), prefix_sq_.data(), count,
-                                     length, center, means->data(),
-                                     std_devs->data());
+  // SIMD target; bit-identical to the per-window accessor loop. A window
+  // reads only the prefix entries at its own two ends, so a range is the
+  // full sweep started at `first`.
+  simd::ActiveKernels().window_stats(prefix_.data() + first,
+                                     prefix_sq_.data() + first, count, length,
+                                     center, means, std_devs);
   simd::NoteKernelCalls(simd::KernelKind::kWindowStats, 1);
-  return Status::Ok();
 }
 
 }  // namespace valmod::stats

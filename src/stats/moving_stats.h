@@ -93,6 +93,17 @@ class MovingStats {
   Status CenteredWindowStats(std::size_t length, std::vector<double>* means,
                              std::vector<double>* std_devs) const;
 
+  /// Range form of CenteredWindowStats, for sweeps that read the statistics
+  /// a fixed-size block at a time instead of holding full-length arrays:
+  /// writes the `count` windows of `length` starting at offset `first` to
+  /// `means[0, count)` and `std_devs[0, count)`, the same values the full
+  /// form puts at `[first, first + count)`. Preconditions (checked with
+  /// assert in debug builds only): `length >= 1`,
+  /// `first + count + length - 1 <= size()`.
+  void CenteredWindowStats(std::size_t first, std::size_t count,
+                           std::size_t length, double* means,
+                           double* std_devs) const;
+
   /// The globally mean-centered copy of the input; shares indexing with it.
   /// Dot products of centered windows are *not* the same as dot products of
   /// raw windows — callers combining dot products with these stats must use
@@ -120,6 +131,11 @@ class MovingStats {
   Status SweepWindowStats(std::size_t length, double center,
                           std::vector<double>* means,
                           std::vector<double>* std_devs) const;
+
+  /// The sweep over windows `[first, first + count)` of a validated length.
+  void SweepWindowRange(std::size_t first, std::size_t count,
+                        std::size_t length, double center, double* means,
+                        double* std_devs) const;
 
   std::size_t n_ = 0;
   double global_mean_ = 0.0;

@@ -19,7 +19,9 @@
 #include "mass/mass.h"
 #include "series/data_series.h"
 #include "series/generators.h"
+#include "series/znorm.h"
 #include "simd/dispatch.h"
+#include "stats/moving_stats.h"
 
 namespace valmod::mass {
 namespace {
@@ -393,6 +395,55 @@ TEST(MassEngineTest, DistanceProfileFftPathMatchesBruteForce) {
   ASSERT_EQ(fast->size(), brute->size());
   for (std::size_t j = 0; j < fast->size(); ++j) {
     EXPECT_NEAR((*fast)[j], (*brute)[j], 1e-5) << "j=" << j;
+  }
+}
+
+// DistanceProfile writes its distances over the sliding dots and reads the
+// window statistics block by block through the dispatched sweep; under
+// every forced backend the result must be bit-equal to the per-window
+// accessor loop over the same dots. The window counts are no multiple of
+// the sweep's block, and length 1 (no kernel sweep) is included.
+TEST(MassEngineTest, DistanceProfileMatchesAccessorLoopBitForBit) {
+  const std::size_t n = 2100;
+  auto ecg = synth::ByName("ecg", n, 61);
+  ASSERT_TRUE(ecg.ok());
+  std::vector<double> values(ecg->values().begin(), ecg->values().end());
+  for (std::size_t i = 900; i < 1000; ++i) values[i] = 0.25;  // plateau
+  auto series = DataSeries::Create(std::move(values));
+  ASSERT_TRUE(series.ok());
+  const stats::MovingStats& stats = series->stats();
+  MassEngine engine(*series);
+  Rng rng(67);
+  for (std::size_t length : {1, 2, 37, 300}) {
+    std::vector<double> query(length);
+    for (auto& x : query) x = rng.Gaussian();
+    std::vector<std::vector<double>> queries = {
+        query, series->Subsequence(950 - length / 2, length).value(),
+        std::vector<double>(length, -1.0)};
+    for (const std::vector<double>& q : queries) {
+      auto centered = CenterQuery(q);
+      ASSERT_TRUE(centered.ok());
+      for (ConvolutionBackend backend :
+           {ConvolutionBackend::kDirect, ConvolutionBackend::kFftSingle,
+            ConvolutionBackend::kOverlapSave}) {
+        SCOPED_TRACE("length=" + std::to_string(length) + " backend=" +
+                     ConvolutionBackendName(backend));
+        auto dots = engine.ExternalSlidingDots(*centered, backend);
+        ASSERT_TRUE(dots.ok());
+        auto got = engine.DistanceProfile(q, backend);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got->size(), dots->size());
+        ASSERT_EQ(got->size(), n - length + 1);
+        for (std::size_t j = 0; j < dots->size(); ++j) {
+          const double std_j = stats.StdDev(j, length);
+          const double want = series::PairDistanceFromDot(
+              (*dots)[j], 0.0, stats.CenteredMean(j, length),
+              centered->std_dev, std_j, length, centered->constant,
+              std_j <= stats.constant_std_threshold());
+          ASSERT_EQ((*got)[j], want) << "j=" << j;
+        }
+      }
+    }
   }
 }
 

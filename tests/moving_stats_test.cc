@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -172,6 +173,33 @@ TEST(MovingStatsTest, CenteredWindowStatsShifted) {
   for (std::size_t i = 0; i < cmeans.size(); ++i) {
     EXPECT_EQ(cmeans[i], stats->CenteredMean(i, 1)) << i;
     EXPECT_EQ(cstds[i], 0.0) << i;
+  }
+}
+
+TEST(MovingStatsTest, CenteredWindowStatsRangeMatchesFullForm) {
+  const std::vector<double> data = RandomData(300, 67, 3.0);
+  auto stats = MovingStats::Create(data);
+  ASSERT_TRUE(stats.ok());
+  for (std::size_t length : {1, 2, 17, 300}) {
+    std::vector<double> means, stds;
+    ASSERT_TRUE(stats->CenteredWindowStats(length, &means, &stds).ok());
+    // Ranges at every phase of the vector kernels' lane groups, plus one
+    // ending at the last window.
+    const std::size_t count = means.size();
+    for (std::size_t first : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                              count - std::min<std::size_t>(count, 13)}) {
+      if (first >= count) continue;
+      const std::size_t span = std::min<std::size_t>(13, count - first);
+      std::vector<double> range_means(span), range_stds(span);
+      stats->CenteredWindowStats(first, span, length, range_means.data(),
+                                 range_stds.data());
+      for (std::size_t i = 0; i < span; ++i) {
+        EXPECT_EQ(range_means[i], means[first + i])
+            << "length=" << length << " window=" << first + i;
+        EXPECT_EQ(range_stds[i], stds[first + i])
+            << "length=" << length << " window=" << first + i;
+      }
+    }
   }
 }
 
